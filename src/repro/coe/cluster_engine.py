@@ -70,6 +70,8 @@ from typing import (
     Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
+import numpy as np
+
 from repro.coe.cache import CachePolicy, CachePolicyLike
 from repro.coe.columnar import latency_values, token_total
 from repro.coe.decisions import DecisionLog
@@ -87,11 +89,14 @@ from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.metrics import summarize_latencies
 from repro.coe.policies import ClusterPolicy, DrainMode, NodePolicy
 from repro.coe.scheduling import (
+    GroupPlan,
     RequestGroup,
     SchedulerLike,
     affinity_schedule,
     coalesce_groups,
     make_scheduler,
+    plan_requests,
+    reject_duplicate_ids,
 )
 from repro.obs import Timeline
 from repro.sim.engine import Simulator
@@ -381,22 +386,15 @@ class ClusterEngine:
             effective = requested
         self.drain_mode = effective.value
         self.event_batching = effective is not DrainMode.REFERENCE
-        #: The fast-path feature set follows the *requested* mode, not
-        #: the policy/fault-gated one: incremental admission backlog and
-        #: bulk phase precompute are bitwise-identical to the reference
-        #: math, so they stay on for steal/fault runs too. Only an
-        #: explicitly requested reference configuration (the
-        #: seed-equivalent one the equivalence tests and perf benchmarks
-        #: compare against) reverts admission to fresh per-route sums.
+        #: The request plane (:meth:`_admit_plan`) follows the
+        #: *requested* mode, not the policy/fault-gated one: its array
+        #: front end, bulk phase precompute and incremental admission
+        #: backlog are bitwise-identical to the object path, so they stay
+        #: on for steal/fault runs too. Only an explicitly requested
+        #: reference configuration (the seed-equivalent one the
+        #: equivalence tests and perf benchmarks compare against) keeps
+        #: the object front end and fresh per-route backlog sums.
         self._fast_admission = requested is not DrainMode.REFERENCE
-        #: During admission (before the clock runs) each engine's backlog
-        #: is the running sum of what was submitted to it; this tracker
-        #: keeps that sum incrementally — bitwise-identical to the fresh
-        #: left-to-right sum while queues are append-only — turning the
-        #: O(groups x queue) admission scan into O(groups). ``None``
-        #: outside admission: once the clock runs, queues pop and steal,
-        #: so routing falls back to the fresh estimate.
-        self._admission_backlog: Optional[Dict[int, float]] = None
         #: Cross-check evidence: dispatch/admission verdicts land on the
         #: ``"admission"`` stream, each node runtime's cache decisions on
         #: its own ``"nodeN"`` stream (attached below).
@@ -475,12 +473,6 @@ class ClusterEngine:
         except KeyError:
             raise KeyError(f"no node hosts expert {expert.name!r}") from None
 
-    def _backlog_s(self, node: _Node) -> float:
-        """Estimated backlog for routing; O(1) during admission."""
-        if self._admission_backlog is not None:
-            return self._admission_backlog[node.index]
-        return node.engine.estimated_backlog_s()
-
     def _route(self, group: RequestGroup) -> _Node:
         """Pick the owner node, through the shared pure dispatch core.
 
@@ -504,7 +496,7 @@ class ClusterEngine:
         index = choose_node(
             owners,
             name,
-            backlog_of=lambda i: self._backlog_s(self.nodes[i]),
+            backlog_of=lambda i: self.nodes[i].engine.estimated_backlog_s(),
             tail_of=lambda i: self.nodes[i].engine.last_queued_expert,
             affinity=self.policy == "affinity",
         )
@@ -521,18 +513,14 @@ class ClusterEngine:
         """
         node = self._route(group)
         decisions = self._decisions
-        # The per-group exec estimate is the same memoized float for the
-        # deadline ETA and the admission-backlog increment; compute it
-        # lazily and at most once per dispatch (it used to be evaluated
-        # twice, dominating the admission profile alongside routing).
-        exec_s: Optional[float] = None
         label = (
             f"{group.expert.name}x{group.batch}"
             if decisions is not None else ""
         )
         if self.deadline_s is not None:
             exec_s = node.engine._group_exec_time(group)
-            eta = admission_eta(now, self._backlog_s(node), exec_s)
+            eta = admission_eta(
+                now, node.engine.estimated_backlog_s(), exec_s)
             admitted = deadline_admits(eta, self.deadline_s)
             if decisions is not None:
                 # repr(eta) carries full float precision: one different
@@ -548,11 +536,105 @@ class ClusterEngine:
         if decisions is not None:
             decisions.record("admission", "dispatch", label, node.name)
         node.engine.submit(group)
-        if self._admission_backlog is not None:
-            if exec_s is None:
-                exec_s = node.engine._group_exec_time(group)
-            self._admission_backlog[node.index] += exec_s
         return True
+
+    def _admit_plan(self, plan: GroupPlan) -> None:
+        """Admission over the request plane's group columns.
+
+        Makes :meth:`_dispatch`'s decisions over every planned group, in
+        the same order, without building a group object: routing is one
+        lookup table while every expert has a single owner; deadline
+        admission, multi-owner routing and decision recording take the
+        scalar loop (:meth:`_admit_scalar`). Each node then gets its
+        admitted groups in one :meth:`ServingEngine.submit_plan`, nodes
+        in order of their first admitted group — the order their first
+        ``submit`` would have scheduled their drains.
+        """
+        experts = plan.batch.experts
+        order = (plan.priority_order() if self.deadline_s is not None
+                 else np.arange(len(plan)))
+        codes = plan.codes[order]
+        owners = [self._owners.get(e.name, ()) for e in experts]
+        unhosted = [c for c, o in enumerate(owners) if not o]
+        if unhosted:
+            hit = np.isin(codes, unhosted)
+            if hit.any():
+                name = experts[codes[np.argmax(hit)]].name
+                raise KeyError(f"no node hosts expert {name!r}")
+        # Seed every node's phase memo with one vectorized batch over
+        # the shapes it could be routed (the experts it hosts).
+        for node in self.nodes:
+            hosted = node.hosted
+            node.engine.precompute_phases(
+                [s for s in plan.shapes if s.phase_key[0] in hosted]
+            )
+        if (self.deadline_s is None and self._decisions is None
+                and all(len(o) <= 1 for o in owners)):
+            owner = np.array([o[0] if o else -1 for o in owners])
+            dest = owner[codes]
+        else:
+            dest = self._admit_scalar(plan, order)
+        handoff = []
+        for node in self.nodes:
+            mine = np.flatnonzero(dest == node.index)
+            if len(mine):
+                handoff.append((int(mine[0]), node, order[mine]))
+        for _, node, index in sorted(handoff, key=lambda h: h[0]):
+            node.engine.submit_plan(plan, index)
+
+    def _admit_scalar(self, plan: GroupPlan, order: np.ndarray) -> np.ndarray:
+        """:meth:`_dispatch` over group columns, in admission ``order``.
+
+        The admission backlog of each node is the running sum of its
+        admitted groups' execution times — bitwise the fresh left-to-
+        right sum over its append-only queue — and its tail the last
+        admitted expert. Returns each admitted group's node index, -1
+        where the deadline shed it.
+        """
+        names = [e.name for e in plan.batch.experts]
+        keys = [s.phase_key for s in plan.shapes]
+        decisions = self._decisions
+        deadline = self.deadline_s
+        affinity = self.policy == "affinity"
+        backlog = [0.0] * len(self.nodes)
+        tails: List[Optional[str]] = [None] * len(self.nodes)
+        dest = np.full(len(order), -1, dtype=np.int64)
+        for j, (code, size, shape) in enumerate(zip(
+            plan.codes[order].tolist(), plan.sizes[order].tolist(),
+            plan.shape_of[order].tolist(),
+        )):
+            name = names[code]
+            owners = self._owners[name]
+            if len(owners) == 1:
+                k = owners[0]
+            else:
+                k = choose_node(owners, name, backlog_of=backlog.__getitem__,
+                                tail_of=tails.__getitem__, affinity=affinity)
+            # _group_exec_time at admission (slow factor 1.0), from the
+            # node's seeded phase memo.
+            router, prefill, decode = (
+                self.nodes[k].engine._phase_cache[keys[shape]])
+            exec_s = router + prefill + decode
+            label = f"{name}x{size}" if decisions is not None else ""
+            if deadline is not None:
+                eta = admission_eta(0.0, backlog[k], exec_s)
+                admitted = deadline_admits(eta, deadline)
+                if decisions is not None:
+                    decisions.record(
+                        "admission", "admit", label,
+                        "admit" if admitted else "shed",
+                        detail=(self.nodes[k].name, repr(eta)),
+                    )
+                if not admitted:
+                    self.rejected.extend(plan.requests_of(int(order[j])))
+                    continue
+            if decisions is not None:
+                decisions.record("admission", "dispatch", label,
+                                 self.nodes[k].name)
+            dest[j] = k
+            backlog[k] += exec_s
+            tails[k] = name
+        return dest
 
     @staticmethod
     def _priority_order(groups: Sequence[RequestGroup]) -> List[RequestGroup]:
@@ -808,6 +890,7 @@ class ClusterEngine:
         self._served = True
         if not requests:
             raise ValueError("empty request backlog")
+        reject_duplicate_ids(requests)
         if self.faults:
             self._injector = FaultInjector(
                 self.sim,
@@ -819,32 +902,27 @@ class ClusterEngine:
             )
             if self.faults.crashes:
                 self.sim.schedule_at(self.heartbeat_s, self._heartbeat)
-        admitted = self.scheduler.order(requests)
-        if self.node_policy == "fifo":
-            ordered = list(admitted)
-        else:
-            ordered = affinity_schedule(admitted, window=self.window)
-        groups = coalesce_groups(ordered, self.max_batch)
-        admit = (self._priority_order(groups) if self.deadline_s is not None
-                 else groups)
-        # Fast path: seed every node's phase memo with one vectorized
-        # batch over the shapes it could be routed (the experts it
-        # hosts), and track the admission backlog incrementally; both
-        # turn admission from the sweep's dominant cost (a fresh
-        # O(queue) sum per routed group) into a linear pass, with
-        # bitwise-identical routing decisions.
         if self._fast_admission:
-            for node in self.nodes:
-                hosted = node.hosted
-                node.engine.precompute_phases(
-                    [g for g in admit if g.expert.name in hosted]
-                )
-            self._admission_backlog = {n.index: 0.0 for n in self.nodes}
-        try:
+            plan = plan_requests(requests, self.scheduler, self.node_policy,
+                                 self.window, self.max_batch)
+            self._admit_plan(plan)
+            num_groups = len(plan)
+            output_tokens = plan.batch.output_total()
+        else:
+            # The object front end: the oracle the request plane is held
+            # to, byte for byte.
+            admitted = self.scheduler.order(requests)
+            if self.node_policy == "fifo":
+                ordered = list(admitted)
+            else:
+                ordered = affinity_schedule(admitted, window=self.window)
+            groups = coalesce_groups(ordered, self.max_batch)
+            admit = (self._priority_order(groups)
+                     if self.deadline_s is not None else groups)
             for group in admit:
                 self._dispatch(group, now=0.0)
-        finally:
-            self._admission_backlog = None
+            num_groups = len(groups)
+            output_tokens = sum(r.output_tokens for r in requests)
         end_clock = self.sim.run()
         # Batched drains finish their work on local clocks past the last
         # shared-clock event; the cluster end is the latest of both.
@@ -933,8 +1011,8 @@ class ClusterEngine:
             scheduler=self.scheduler.name,
             num_nodes=self.num_nodes,
             requests=len(requests),
-            groups=len(groups),
-            output_tokens=sum(r.output_tokens for r in requests),
+            groups=num_groups,
+            output_tokens=output_tokens,
             makespan_s=makespan,
             steals=self.steals,
             replications=self.replications,

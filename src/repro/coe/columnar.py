@@ -7,11 +7,13 @@ predictor observation, a cache activation, a float add chain and one
 ``CompletedRequest`` NamedTuple per request — all interpreter work.
 
 This module vectorizes the loop itself. A queued backlog is *lowered*
-once into parallel arrays (:func:`lower_queue`): per-group expert names,
-phase-time triples (read from the engine's phase memo, which
-:meth:`ServingEngine.precompute_phases` seeds through the vectorized
-``perf.kernel_cost`` batch entry points), batch sizes, and per-request
-request-id/arrival/output-token columns. The drain (:func:`drain`) then
+once into parallel arrays (:func:`lower_queue`), gathered from the
+request plane's :class:`~repro.coe.scheduling.GroupPlan` columns:
+per-group expert names, phase-time triples (read from the engine's
+phase memo, which :meth:`ServingEngine.precompute_phases` seeds through
+the vectorized ``perf.kernel_cost`` batch entry points), batch sizes,
+and per-request request-id/arrival/output-token columns. The drain
+(:func:`drain`) then
 segments the queue into **runs**:
 
     a run is a maximal stretch of groups whose experts are all
@@ -43,13 +45,13 @@ float64 arrays is elementwise-bitwise-equal to the scalar property).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.coe.engine import CompletedRequest, ServingEngine
-    from repro.coe.scheduling import RequestGroup
+    from repro.coe.scheduling import GroupPlan
 
 __all__ = [
     "CompletedLog",
@@ -231,21 +233,17 @@ class GroupColumns:
     """A queued backlog, lowered to parallel arrays (one row per group)."""
 
     __slots__ = (
-        "groups", "experts", "names", "phases", "flat", "sizes", "offsets",
-        "req_ids", "arrivals", "tokens",
+        "experts", "names", "flat", "sizes", "offsets", "req_ids",
+        "arrivals", "tokens",
     )
 
-    def __init__(self, groups, experts, names, phases, flat, sizes, offsets,
-                 req_ids, arrivals, tokens):
-        self.groups = groups
+    def __init__(self, experts, names, flat, sizes, offsets, req_ids,
+                 arrivals, tokens):
         self.experts = experts
         self.names = names
-        #: Python-float phase triples — the decision path computes its
-        #: timestamps from these in pure Python so no ``np.float64``
-        #: ever leaks into engine state or completion records.
-        self.phases = phases
-        #: The same triples as an (n, 3) float64 array (exact values:
-        #: float -> float64 is an identity conversion) for the cumsum.
+        #: Phase triples as an (n, 3) float64 array for the cumsum; the
+        #: decision path reads a row back with ``.tolist()`` so no
+        #: ``np.float64`` ever leaks into engine state or records.
         self.flat = flat
         self.sizes = sizes
         #: Request-column offsets: group ``i`` owns rows
@@ -256,62 +254,65 @@ class GroupColumns:
         self.tokens = tokens
 
     def __len__(self) -> int:
-        return len(self.groups)
+        return len(self.names)
 
 
 def lower_queue(
-    engine: "ServingEngine", groups: Sequence["RequestGroup"]
+    engine: "ServingEngine",
+    plan: "GroupPlan",
+    index: Optional[np.ndarray] = None,
 ) -> GroupColumns:
-    """Lower ``groups`` into :class:`GroupColumns` for one drain.
+    """Lower the plan's groups ``index`` (all when None) for one drain.
 
-    Phase triples come from the engine's phase memo (seeded in bulk by
-    the vectorized ``precompute_phases``; any cold shape falls through
-    the same memoized scalar path the batched drain uses). The slow
-    factor is applied here once — it cannot change inside a drain event,
-    and ``x * 1.0`` is skipped exactly as the batched loop skips it.
+    Every column is a gather over the request plane's
+    :class:`~repro.coe.scheduling.GroupPlan`; nothing walks request
+    objects. Phase triples come from the engine's phase memo, one row
+    per distinct shape (seeded in bulk by the vectorized
+    ``precompute_phases``; a cold shape is seeded here), gathered once.
+    The slow factor is applied here once — it cannot change inside a
+    drain event, and ``x * 1.0`` is skipped exactly as the batched loop
+    skips it.
     """
-    base_of = engine._base_phase_times
-    cache = engine._phase_cache
-    # The drain seeds the memo via precompute_phases first, so the direct
-    # lookup hits for every group; cold shapes (callers that skipped the
-    # precompute) fall through the memoized scalar path.
-    base = [cache.get(g.phase_key) for g in groups]
-    if None in base:
-        base = [
-            b if b is not None else base_of(g) for b, g in zip(base, groups)
-        ]
-    factor = engine.slow_factor
-    if factor != 1.0:
-        phases = [
-            (b[0] * factor, b[1] * factor, b[2] * factor) for b in base
-        ]
+    if index is None:
+        codes, sizes, shape_of = plan.codes, plan.sizes, plan.shape_of
     else:
-        phases = base
-    experts = [g.expert for g in groups]
-    sizes = np.asarray([len(g.requests) for g in groups], dtype=np.int64)
-    offsets = np.empty(len(groups) + 1, dtype=np.int64)
+        codes = plan.codes[index]
+        sizes = plan.sizes[index]
+        shape_of = plan.shape_of[index]
+    offsets = np.empty(len(sizes) + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(sizes, out=offsets[1:])
+    if index is None:
+        rows = plan.rows
+    else:
+        # Each group's request rows, concatenated in queue order.
+        rows = plan.rows[
+            np.repeat(plan.starts[index] - offsets[:-1], sizes)
+            + np.arange(offsets[-1])
+        ]
+    used, local = np.unique(shape_of, return_inverse=True)
+    shapes = [plan.shapes[s] for s in used.tolist()]
+    cache = engine._phase_cache
+    cold = [s for s in shapes if s.phase_key not in cache]
+    if cold:
+        engine.precompute_phases(cold)
+    table = np.array([cache[s.phase_key] for s in shapes], dtype=np.float64)
+    flat = table[local.reshape(-1)]
+    factor = engine.slow_factor
+    if factor != 1.0:
+        flat = flat * factor
+    table_experts = plan.batch.experts
+    experts = [table_experts[c] for c in codes.tolist()]
+    batch = plan.batch
     return GroupColumns(
-        groups=list(groups),
         experts=experts,
         names=[e.name for e in experts],
-        phases=phases,
-        flat=np.asarray(phases, dtype=np.float64).reshape(len(groups), 3),
+        flat=flat,
         sizes=sizes,
         offsets=offsets,
-        req_ids=np.asarray(
-            [r.request_id for g in groups for r in g.requests],
-            dtype=np.int64,
-        ),
-        arrivals=np.asarray(
-            [r.arrival_s for g in groups for r in g.requests],
-            dtype=np.float64,
-        ),
-        tokens=np.asarray(
-            [r.output_tokens for g in groups for r in g.requests],
-            dtype=np.int64,
-        ),
+        req_ids=batch.ids[rows],
+        arrivals=batch.arrivals[rows],
+        tokens=batch.output_tokens[rows],
     )
 
 
@@ -340,9 +341,8 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
     log = engine.completed
     names = cols.names
     experts = cols.experts
-    phases = cols.phases
     flat = cols.flat
-    offsets = cols.offsets
+    bounds = cols.offsets.tolist()
     n = len(names)
     now = start_at
     pos = 0
@@ -369,8 +369,8 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             run_experts = experts[pos:run_end]
             predictor.observe_run(run_experts)
             runtime.touch_run(run_experts)
-            lo = offsets[pos]
-            hi = offsets[run_end]
+            lo = bounds[pos]
+            hi = bounds[run_end]
             log.extend_block(
                 names[pos:run_end],
                 cols.sizes[pos:run_end],
@@ -384,7 +384,6 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             pos = run_end
             continue
         # --- decision point: the batched loop's scalar code -----------
-        group = cols.groups[pos]
         expert = experts[pos]
         expert_name = names[pos]
         observe(expert)
@@ -394,14 +393,18 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             exec_start = now if done is None or done <= now else done
         else:
             exec_start = engine._demand_copy(expert, now=now)
-        base = phases[pos]
+        base = flat[pos].tolist()
         end = exec_start + base[0] + base[1] + base[2]
-        batch = len(group.requests)
+        lo = bounds[pos]
+        hi = bounds[pos + 1]
+        batch = hi - lo
         append = log.append
-        for req in group.requests:
+        for req_id, arrival, tokens in zip(
+            cols.req_ids[lo:hi].tolist(), cols.arrivals[lo:hi].tolist(),
+            cols.tokens[lo:hi].tolist(),
+        ):
             append(CompletedRequest(
-                req.request_id, expert_name, batch, req.arrival_s,
-                exec_start, end, req.output_tokens,
+                req_id, expert_name, batch, arrival, exec_start, end, tokens,
             ))
         now = end
         pos += 1

@@ -11,8 +11,8 @@ call these functions with state they maintain by identical rules:
 - ``backlog_of(i)`` — the admission-logical backlog of node ``i``: the
   running float sum of every previously admitted group's execution
   time, accumulated in admission order (the cluster engine's
-  ``_admission_backlog``; the live dispatcher's mirror of it). Never a
-  measured quantity.
+  ``_admit_scalar`` running sums; the live dispatcher's mirror of
+  them). Never a measured quantity.
 - ``tail_of(i)`` — the expert name of the last group admitted to node
   ``i`` (the queue tail at admission time), or None.
 

@@ -66,12 +66,17 @@ from repro.coe.expert import ExpertLibrary, ExpertProfile
 from repro.coe.metrics import summarize_latencies
 from repro.coe.policies import DrainMode, NodePolicy
 from repro.coe.scheduling import (
+    EngineRequest,
     ExpertPredictor,
+    GroupPlan,
+    RequestBatch,
     RequestGroup,
     SchedulerLike,
     affinity_schedule,
     coalesce_groups,
     make_scheduler,
+    plan_requests,
+    reject_duplicate_ids,
 )
 from repro.coe.serving import ExpertServer
 from repro.obs import Timeline
@@ -140,22 +145,6 @@ def _run_drain_batch(batch) -> None:
     """
     for _, callback in batch:
         callback()
-
-
-@dataclass(frozen=True)
-class EngineRequest:
-    """One pre-routed request in the engine's backlog."""
-
-    request_id: int
-    expert: ExpertProfile
-    prompt_tokens: int = 256
-    output_tokens: int = 20
-    #: All requests are queued at t=0 (saturated-server regime); a later
-    #: arrival only shrinks the reported queueing latency.
-    arrival_s: float = 0.0
-    #: Admission-control rank: under deadline pressure (node loss, SLO
-    #: shedding) lower-priority requests are shed first.
-    priority: int = 0
 
 
 class CompletedRequest(NamedTuple):
@@ -388,6 +377,9 @@ class ServingEngine:
 
     def _reset_run_state(self) -> None:
         self._queue: "deque[RequestGroup]" = deque()
+        #: A request-plane backlog awaiting the columnar drain:
+        #: ``(plan, group indices or None for all)`` (see submit_plan).
+        self._planned: Optional[Tuple[GroupPlan, object]] = None
         self._busy = False
         self._begin_scheduled = False
         self._busy_until_s = 0.0
@@ -461,6 +453,7 @@ class ServingEngine:
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
+        self._unplan()
         return len(self._queue)
 
     @property
@@ -470,10 +463,12 @@ class ServingEngine:
     @property
     def last_queued_expert(self) -> Optional[str]:
         """Expert of the queue tail (affinity routing extends its run)."""
+        self._unplan()
         return self._queue[-1].expert.name if self._queue else None
 
     def queued_expert_counts(self) -> Dict[str, int]:
         """Queued group count per expert name (replication signal)."""
+        self._unplan()
         counts: Dict[str, int] = {}
         for group in self._queue:
             counts[group.expert.name] = counts.get(group.expert.name, 0) + 1
@@ -481,6 +476,7 @@ class ServingEngine:
 
     def estimated_backlog_s(self) -> float:
         """Closed-form estimate of queued + in-flight work (routing cost)."""
+        self._unplan()
         now = self._sim.now if self._sim is not None else 0.0
         total = max(0.0, self._busy_until_s - now) if self._busy else 0.0
         return total + sum(self._group_exec_time(g) for g in self._queue)
@@ -489,8 +485,36 @@ class ServingEngine:
         """Enqueue one group; starts it immediately if the engine is idle."""
         if self._halted:
             raise RuntimeError("cannot submit to a halted (crashed) engine")
+        self._unplan()
         self._queue.append(group)
         self._kick()
+
+    def submit_plan(self, plan: GroupPlan, index=None) -> None:
+        """Enqueue the plan's groups ``index`` (all when None), in order.
+
+        The request plane's hand-off. An engine whose drains are
+        columnar keeps the plan's columns and builds no
+        :class:`RequestGroup` — :func:`repro.coe.columnar.lower_queue`
+        gathers them at drain time. Any other engine queues the groups
+        as objects, exactly as if each had been :meth:`submit`-ted.
+        """
+        if self._halted:
+            raise RuntimeError("cannot submit to a halted (crashed) engine")
+        if (self._planned is None and not self._queue
+                and self._drains_columnar()):
+            self._planned = (plan, index)
+        else:
+            self._unplan()
+            self._queue.extend(plan.groups(index))
+        self._kick()
+
+    def _unplan(self) -> None:
+        """Turn a planned backlog into queued objects, for the callers
+        that read or steer the queue group by group."""
+        if self._planned is not None:
+            plan, index = self._planned
+            self._planned = None
+            self._queue.extend(plan.groups(index))
 
     def steal(self, wanted: Callable[[ExpertProfile], bool]) -> Optional[RequestGroup]:
         """Remove and return the latest-queued group whose expert satisfies
@@ -500,6 +524,7 @@ class ServingEngine:
         head is only up for grabs while the engine is busy executing —
         when idle, the head's begin event is already on the clock.
         """
+        self._unplan()
         floor = 0 if self._busy else 1
         for i in range(len(self._queue) - 1, floor - 1, -1):
             if wanted(self._queue[i].expert):
@@ -522,6 +547,7 @@ class ServingEngine:
         runtime = self.server.runtime
         if runtime.is_resident(expert):
             return self._sim.now
+        self._unplan()
         needed = {g.expert.name for g in list(self._queue)[:2]}
         if not needed.isdisjoint(runtime.would_evict(expert)):
             return None
@@ -567,6 +593,7 @@ class ServingEngine:
         Only meaningful on a halted engine: the cluster's recovery path
         re-dispatches exactly these groups to surviving nodes.
         """
+        self._unplan()
         orphans: List[RequestGroup] = []
         if self._current is not None:
             orphans.append(self._current[0])
@@ -605,6 +632,10 @@ class ServingEngine:
 
     def precompute_phases(self, groups: Sequence[RequestGroup]) -> int:
         """Seed the phase memo for ``groups`` with vectorized cost math.
+
+        ``groups`` may hold :class:`RequestGroup` objects or the request
+        plane's :class:`~repro.coe.scheduling.GroupShape` tuples — only
+        ``phase_key`` and ``expert`` are read.
 
         One :meth:`Platform.prefill_time_batch` /
         :meth:`Platform.decode_span_time_batch` call per distinct model
@@ -778,6 +809,22 @@ class ServingEngine:
             },
         )
 
+    def _drains_columnar(self) -> bool:
+        """Whether this engine's drains take the columnar core.
+
+        ``columnar`` mode vectorizes a drain whenever no per-group
+        Python decision is inherent to the configuration; it falls back
+        to the batched loop for the speculative ``overlap`` policy (a
+        prefetch decision per group), a span-traced run (a timeline
+        record per phase), pipelined NVMe promotions (a tier peek per
+        group), and a lookahead cache policy (whose backlog window is
+        the live queue). Installed hooks make every group its own event.
+        """
+        return (self.drain_mode == "columnar" and self.policy != "overlap"
+                and not self._pipeline_active and not self._lookahead
+                and self._sim is not None and self._sim.timeline is None
+                and self._batch_ok())
+
     def _batch_ok(self) -> bool:
         """Whether draining the whole queue in one event is equivalent.
 
@@ -793,10 +840,16 @@ class ServingEngine:
     def _kick(self) -> None:
         """Schedule the queue head's begin event if the engine is idle."""
         if (self._sim is None or self._halted or self._busy
-                or self._begin_scheduled or not self._queue):
+                or self._begin_scheduled):
+            return
+        if self._queue:
+            head = self._queue[0].expert
+        elif self._planned is not None:
+            plan, index = self._planned
+            head = plan.expert_of(0 if index is None else index[0])
+        else:
             return
         sim = self._sim
-        head = self._queue[0].expert
         start_at = sim.now
         if self.server.runtime.is_resident(head):
             start_at = max(start_at, self._copy_done.get(head.name, start_at))
@@ -820,6 +873,7 @@ class ServingEngine:
         self._begin_scheduled = False
         if self._busy:
             return
+        self._unplan()
         if not self._queue:
             self._notify_idle()
             return
@@ -956,28 +1010,21 @@ class ServingEngine:
     def _drain_queue(self, start_at: float) -> None:
         """One whole-queue drain event: pick the fastest equivalent path.
 
-        ``columnar`` mode vectorizes the drain whenever no per-group
-        Python decision is inherent to the configuration; otherwise —
-        the speculative ``overlap`` policy (a prefetch decision per
-        group), a span-traced run (a timeline record per phase),
-        pipelined NVMe promotions (a tier peek per group), or a
-        lookahead cache policy (whose backlog window is the live queue
-        the columnar path clears up front) — it falls back to the
-        batched loop *for this drain*. Both paths are byte-identical in
-        every simulated output, so the fallback is a pure implementation
-        choice, invisible in reports.
+        The columnar core for a request-plane backlog when
+        :meth:`_drains_columnar` allows it, else the batched loop *for
+        this drain* (groups submitted one by one always take it). Both
+        paths are byte-identical in every simulated output, so the
+        fallback is a pure implementation choice, invisible in reports.
         """
-        if (self.drain_mode == "columnar" and self.policy != "overlap"
-                and not self._pipeline_active and not self._lookahead
-                and self._sim.timeline is None):
+        if self._planned is not None and self._drains_columnar():
             self._drain_columnar(start_at)
         else:
             self._drain_batched(start_at)
 
     def _drain_columnar(self, start_at: float) -> None:
-        """Drain the whole queue through the columnar (SoA) core.
+        """Drain the planned backlog through the columnar (SoA) core.
 
-        Lowers the queue to parallel arrays and hands them to
+        Lowers the plan's groups to parallel arrays and hands them to
         :func:`repro.coe.columnar.drain`, which timestamps maximal
         resident-hit runs with one cumsum each and replays the batched
         loop's scalar code at cache-decision points. Event crediting and
@@ -991,14 +1038,11 @@ class ServingEngine:
         self._begin_scheduled = False
         if self._busy:
             return
-        if not self._queue:
-            self._notify_idle()
-            return
-        groups = list(self._queue)
-        self._queue.clear()
-        cols = lower_queue(self, groups)
+        plan, index = self._planned
+        self._planned = None
+        cols = lower_queue(self, plan, index)
         end = _columnar_drain(self, cols, start_at)
-        n = len(groups)
+        n = len(cols)
         self._groups_started += n
         self.groups_done += n
         self._drained_until = max(self._drained_until, end)
@@ -1025,6 +1069,7 @@ class ServingEngine:
         self._begin_scheduled = False
         if self._busy:
             return
+        self._unplan()
         if not self._queue:
             self._notify_idle()
             return
@@ -1133,16 +1178,32 @@ class ServingEngine:
         self._ran = True
         if not requests:
             raise ValueError("empty request backlog")
-        admitted = self.scheduler.order(requests)
-        groups = coalesce_groups(self._order(admitted), self.max_batch)
+        reject_duplicate_ids(requests)
+        plan: Optional[GroupPlan] = None
+        if self.drain_mode == DrainMode.REFERENCE.value:
+            # The object front end: the oracle the request plane is
+            # held to, byte for byte.
+            admitted = self.scheduler.order(requests)
+            groups = coalesce_groups(self._order(admitted), self.max_batch)
+            num_groups = len(groups)
+            output_tokens = sum(r.output_tokens for r in requests)
+        else:
+            plan = plan_requests(requests, self.scheduler, self.policy,
+                                 self.window, self.max_batch)
+            num_groups = len(plan)
+            output_tokens = plan.batch.output_total()
         timeline = Timeline() if self.record_timeline else None
         sim = Simulator(timeline=timeline)
         self.bind(sim)
         try:
             sim.set_batch_handler(DRAIN_EVENT_KIND, _run_drain_batch)
-            self.precompute_phases(groups)
-            self._queue.extend(groups)
-            self._kick()
+            if plan is None:
+                self.precompute_phases(groups)
+                self._queue.extend(groups)
+                self._kick()
+            else:
+                self.precompute_phases(plan.shapes)
+                self.submit_plan(plan)
             makespan = max(sim.run(), self._drained_until)
             self.flush_speculation(makespan)
             # A halted engine can finish with zero completions; the
@@ -1153,9 +1214,9 @@ class ServingEngine:
                 policy=self.policy,
                 platform=self.server.platform.name,
                 requests=len(self.completed),
-                groups=len(groups),
+                groups=num_groups,
                 makespan_s=makespan,
-                output_tokens=sum(r.output_tokens for r in requests),
+                output_tokens=output_tokens,
                 switch_s=(timeline.busy_s(self.lane("switch"))
                           if timeline is not None else 0.0),
                 hidden_switch_s=(timeline.overlap_s(
@@ -1197,12 +1258,17 @@ def zipf_request_stream(
     seed: int = 1234,
     prompt_tokens: int = 256,
     output_tokens: int = 20,
-) -> List[EngineRequest]:
+) -> RequestBatch:
     """A skewed (Zipf) pre-routed request stream over a library.
 
     Real CoE traffic concentrates on a few hot experts (the router's
     domain mix is not uniform); rank-``r`` experts draw with weight
     ``r^-alpha``. Deterministic under ``seed``.
+
+    Returns a :class:`~repro.coe.scheduling.RequestBatch`: columns for
+    the engines' request plane, and a ``Sequence[EngineRequest]`` whose
+    elements — request ``i`` routed to the ``i``-th draw, all queued at
+    t=0 — are built lazily on first access.
     """
     import random
 
@@ -1210,18 +1276,16 @@ def zipf_request_stream(
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not library.experts:
+        raise ValueError("cannot draw requests from an empty expert library")
     rng = random.Random(seed)
     weights = [1.0 / (rank + 1) ** alpha for rank in range(len(library))]
-    experts = rng.choices(library.experts, weights=weights, k=num_requests)
-    return [
-        EngineRequest(
-            request_id=i,
-            expert=expert,
-            prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens,
-        )
-        for i, expert in enumerate(experts)
-    ]
+    # Drawing indices consumes the generator exactly as drawing the
+    # experts themselves would: same draws, same stream.
+    codes = rng.choices(range(len(library)), weights=weights, k=num_requests)
+    return RequestBatch.uniform(
+        library.experts, codes, prompt_tokens, output_tokens
+    )
 
 
 def compare_policies(

@@ -61,6 +61,7 @@ from repro.coe.scheduling import (
     GroupAssembler,
     RequestGroup,
     make_scheduler,
+    reject_duplicate_ids,
 )
 from repro.coe.serving import ExpertServer
 from repro.obs import Timeline
@@ -121,7 +122,8 @@ class _LiveNode:
         field(default_factory=dict)
     )
     #: Admission-logical backlog: running sum of admitted groups'
-    #: execution times, the mirror of the sim's ``_admission_backlog``.
+    #: execution times, the mirror of the sim's admission backlog
+    #: (``ClusterEngine._admit_scalar``).
     backlog_s: float = 0.0
     #: Expert of the last admitted group (the sim's queue-tail expert).
     tail: Optional[str] = None
@@ -597,6 +599,7 @@ class LiveEngine:
         """Serve the stream inside the caller's event loop."""
         if not requests:
             raise ValueError("empty request backlog")
+        reject_duplicate_ids(requests)
         # Admission-time reordering over the known backlog, same as the
         # sim engines. Dispatch still honours each request's arrival
         # time (``sleep_until`` treats past deadlines as a no-op), so

@@ -16,13 +16,25 @@ extensions its architecture enables):
   switch behind the router pass, a wrong guess costs nothing over the
   baseline (the mispredicted copy is abandoned; the bandwidth was
   otherwise idle).
+
+The serving engines' front end runs on the **request plane**: the
+backlog as NumPy columns (:class:`RequestBatch`) and its coalesced
+schedule as one row per group (:class:`GroupPlan`, built by
+:func:`plan_requests`). The object functions here —
+:func:`affinity_schedule`, :func:`coalesce_groups` — are the plane's
+oracles, and still serve ``drain_mode="reference"`` and the live
+engine's streaming :class:`GroupAssembler`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import SchedulerName
@@ -35,6 +47,22 @@ class Request:
 
     request_id: int
     expert: ExpertProfile
+
+
+@dataclass(frozen=True)
+class EngineRequest:
+    """One pre-routed request in the serving engines' backlog."""
+
+    request_id: int
+    expert: ExpertProfile
+    prompt_tokens: int = 256
+    output_tokens: int = 20
+    #: All requests are queued at t=0 (saturated-server regime); a later
+    #: arrival only shrinks the reported queueing latency.
+    arrival_s: float = 0.0
+    #: Admission-control rank: under deadline pressure (node loss, SLO
+    #: shedding) lower-priority requests are shed first.
+    priority: int = 0
 
 
 def fifo_schedule(requests: Sequence[Request]) -> List[Request]:
@@ -87,6 +115,15 @@ class Scheduler:
     def order(self, requests: Sequence["Request"]) -> List["Request"]:
         raise NotImplementedError
 
+    def order_rows(self, batch: "RequestBatch") -> Optional[np.ndarray]:
+        """:meth:`order` as a permutation of ``batch``'s rows, or None.
+
+        The request plane's array form of this scheduler. None (the
+        default) makes the plane call :meth:`order` on the elements, so
+        a subclass that overrides :meth:`order` must override this too.
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -98,6 +135,9 @@ class FifoScheduler(Scheduler):
 
     def order(self, requests: Sequence["Request"]) -> List["Request"]:
         return list(requests)
+
+    def order_rows(self, batch: "RequestBatch") -> np.ndarray:
+        return np.arange(len(batch))
 
 
 class ExpertReorderScheduler(Scheduler):
@@ -121,6 +161,9 @@ class ExpertReorderScheduler(Scheduler):
 
     def order(self, requests: Sequence["Request"]) -> List["Request"]:
         return affinity_schedule(requests, window=self.horizon)
+
+    def order_rows(self, batch: "RequestBatch") -> np.ndarray:
+        return window_order(batch.codes, self.horizon)
 
     def __repr__(self) -> str:
         return f"ExpertReorderScheduler(horizon={self.horizon})"
@@ -226,6 +269,366 @@ def coalesce_groups(
     if run:
         groups.append(RequestGroup(expert=run[0].expert, requests=tuple(run)))
     return groups
+
+
+# ----------------------------------------------------------------------
+# The request plane: the backlog and its schedule as columns
+# ----------------------------------------------------------------------
+
+
+class RequestBatch(SequenceABC):
+    """A request backlog as columns, and a ``Sequence[EngineRequest]``.
+
+    One row per request. ``experts`` is the code table — each distinct
+    expert once, keyed by name, in first-seen order — and ``codes``
+    indexes it; ``ids``, ``prompt_tokens``, ``output_tokens``,
+    ``arrivals`` and ``priorities`` are the matching
+    :class:`EngineRequest` fields as NumPy columns. The serving engines'
+    front end (:func:`plan_requests`) reads only the columns.
+
+    The first index or iteration builds the :class:`EngineRequest`
+    elements and caches them, so code that walks the requests one by
+    one sees what a plain list would hold. A batch made from a list
+    (:meth:`from_requests`) hands back the list's own objects. Slicing
+    returns a batch over views of the columns.
+    """
+
+    __slots__ = (
+        "experts", "codes", "ids", "prompt_tokens", "output_tokens",
+        "arrivals", "priorities", "_items",
+    )
+
+    def __init__(self, experts, codes, ids, prompt_tokens, output_tokens,
+                 arrivals, priorities, items=None) -> None:
+        self.experts = experts
+        self.codes = codes
+        self.ids = ids
+        self.prompt_tokens = prompt_tokens
+        self.output_tokens = output_tokens
+        self.arrivals = arrivals
+        self.priorities = priorities
+        #: The elements, once built (see :meth:`elements`).
+        self._items: Optional[List[EngineRequest]] = items
+
+    @classmethod
+    def uniform(cls, experts: Sequence[ExpertProfile], codes,
+                prompt_tokens: int, output_tokens: int) -> "RequestBatch":
+        """Requests ``0..n-1`` of one shape, all queued at t=0.
+
+        The constant columns are read-only broadcast views: they cost
+        no memory however long the batch.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        n = len(codes)
+
+        def constant(value, dtype):
+            return np.broadcast_to(np.asarray(value, dtype=dtype), (n,))
+
+        return cls(
+            list(experts), codes, np.arange(n, dtype=np.int64),
+            constant(prompt_tokens, np.int64),
+            constant(output_tokens, np.int64),
+            constant(0.0, np.float64), constant(0, np.int64),
+        )
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[EngineRequest]) -> "RequestBatch":
+        """Columns of ``requests`` in one pass (a batch is returned as is)."""
+        if isinstance(requests, RequestBatch):
+            return requests
+        items = list(requests)
+        code_of: Dict[str, int] = {}
+        experts: List[ExpertProfile] = []
+        codes = []
+        for request in items:
+            code = code_of.get(request.expert.name)
+            if code is None:
+                code = code_of[request.expert.name] = len(experts)
+                experts.append(request.expert)
+            codes.append(code)
+        n = len(items)
+
+        def column(attr, dtype):
+            return np.fromiter(map(operator.attrgetter(attr), items), dtype, n)
+
+        return cls(
+            experts, np.asarray(codes, dtype=np.int64),
+            column("request_id", np.int64), column("prompt_tokens", np.int64),
+            column("output_tokens", np.int64), column("arrival_s", np.float64),
+            column("priority", np.int64), items=items,
+        )
+
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RequestBatch(
+                self.experts, self.codes[index], self.ids[index],
+                self.prompt_tokens[index], self.output_tokens[index],
+                self.arrivals[index], self.priorities[index],
+                items=None if self._items is None else self._items[index],
+            )
+        return self.elements()[index]
+
+    def elements(self) -> List[EngineRequest]:
+        """Every element, in row order (built once, then cached)."""
+        if self._items is None:
+            experts = self.experts
+            columns = (self.ids, self.codes, self.prompt_tokens,
+                       self.output_tokens, self.arrivals, self.priorities)
+            built: List[EngineRequest] = []
+            # Converted a slice at a time, so the Python-scalar copies of
+            # the columns never all exist at once.
+            for lo in range(0, len(self), _ELEMENT_CHUNK):
+                built.extend(
+                    EngineRequest(i, experts[c], p, o, a, q)
+                    for i, c, p, o, a, q in zip(*(
+                        _python_values(col[lo:lo + _ELEMENT_CHUNK])
+                        for col in columns
+                    ))
+                )
+            self._items = built
+        return self._items
+
+    def __iter__(self) -> Iterator[EngineRequest]:
+        return iter(self.elements())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RequestBatch, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"RequestBatch({len(self)} requests over "
+                f"{len(self.experts)} experts)")
+
+    # ------------------------------------------------------------------
+    def output_total(self) -> int:
+        """Sum of ``output_tokens`` over the batch, as a Python int."""
+        return int(self.output_tokens.sum())
+
+    def first_duplicate_id(self) -> Optional[int]:
+        """The first ``request_id`` (in row order) seen twice, or None."""
+        ids = self.ids
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        repeat = ranked[1:] == ranked[:-1]
+        if not repeat.any():
+            return None
+        # Stable order puts each id's first row first, so the repeats
+        # are exactly the later rows; the earliest of those names it.
+        return int(ids[order[1:][repeat].min()])
+
+
+#: Rows converted per step when a batch builds all its elements.
+_ELEMENT_CHUNK = 4096
+
+
+def _python_values(column: np.ndarray) -> list:
+    """``column.tolist()``, sharing one object when all values are equal
+    (a t=0 backlog's arrivals), as a list of literal requests would."""
+    if len(column) and (column == column[0]).all():
+        return [column[0].item()] * len(column)
+    return column.tolist()
+
+
+def reject_duplicate_ids(requests: Sequence[EngineRequest]) -> None:
+    """Raise ``ValueError`` naming the first repeated ``request_id``.
+
+    Every request must be counted exactly once, as completed or shed;
+    a repeated id makes that unverifiable.
+    """
+    if isinstance(requests, RequestBatch):
+        dup = requests.first_duplicate_id()
+    else:
+        seen = set()
+        dup = None
+        for request in requests:
+            if request.request_id in seen:
+                dup = request.request_id
+                break
+            seen.add(request.request_id)
+    if dup is not None:
+        raise ValueError(f"duplicate request_id {dup!r} in the backlog")
+
+
+def window_order(codes: np.ndarray, window: int) -> np.ndarray:
+    """:func:`affinity_schedule` as a row permutation of ``codes``.
+
+    Each row is keyed by the first row of its (chunk, expert) pair; a
+    stable argsort of that key orders the pairs by first arrival and
+    keeps rows in arrival order within each — the object schedule,
+    row for row.
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    n = len(codes)
+    rows = np.arange(n)
+    if window == 1 or n < 2:
+        return rows
+    key = (rows // window) * (int(codes.max()) + 1) + codes
+    by_key = np.argsort(key, kind="stable")
+    ranked = key[by_key]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    first = np.empty(n, dtype=np.int64)
+    first[by_key] = by_key[head][np.cumsum(head) - 1]
+    return np.argsort(first, kind="stable")
+
+
+def run_starts(codes: np.ndarray, max_batch: int) -> np.ndarray:
+    """:func:`coalesce_groups` as group boundaries over ``codes``.
+
+    Run-length encoding of consecutive equal codes, each run split into
+    ``max_batch``-sized groups from its start. Returns the ``G + 1``
+    group offsets (the last is ``len(codes)``).
+    """
+    if max_batch < 1:
+        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    n = len(codes)
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    if len(lengths) and lengths.max() > max_batch:
+        pieces = (lengths + max_batch - 1) // max_batch
+        step = np.arange(pieces.sum()) - np.repeat(
+            np.cumsum(pieces) - pieces, pieces)
+        starts = np.repeat(starts, pieces) + step * max_batch
+    return np.append(starts, n)
+
+
+class GroupShape(NamedTuple):
+    """What a group's phase times depend on: its phase-memo key (expert
+    name, batch, longest prompt, longest generation) and the expert.
+    Quacks like a :class:`RequestGroup` for
+    :meth:`repro.coe.engine.ServingEngine.precompute_phases`."""
+
+    phase_key: tuple
+    expert: ExpertProfile
+
+
+class GroupPlan:
+    """A coalesced schedule as columns: the request plane's output.
+
+    ``rows`` lists the batch's rows in serving order, and group ``g``
+    owns ``rows[starts[g]:starts[g + 1]]``. Per group: ``codes`` (the
+    expert code), ``sizes``, and ``shape_of``, an index into
+    ``shapes`` — the plan's distinct :class:`GroupShape`\\ s, which is
+    all the phase memo needs.
+    """
+
+    __slots__ = ("batch", "rows", "starts", "sizes", "codes", "shape_of",
+                 "shapes")
+
+    def __init__(self, batch: RequestBatch, rows: np.ndarray,
+                 starts: np.ndarray, codes: np.ndarray) -> None:
+        self.batch = batch
+        self.rows = rows
+        self.starts = starts
+        self.codes = codes
+        self.sizes = np.diff(starts)
+        heads = starts[:-1]
+        columns = (
+            codes, self.sizes,
+            np.maximum.reduceat(batch.prompt_tokens[rows], heads),
+            np.maximum.reduceat(batch.output_tokens[rows], heads),
+        )
+        # One int64 per group packs its shape, when the ranges fit, so
+        # finding the distinct shapes is a 1-D unique.
+        key = np.zeros(len(codes), dtype=np.int64)
+        capacity = 1
+        for column in columns:
+            span = int(column.max()) + 1 if len(column) else 1
+            capacity *= span
+            key = key * span + column
+        if capacity < 2 ** 63 and all(
+                len(c) == 0 or c.min() >= 0 for c in columns):
+            _, first, shape_of = np.unique(
+                key, return_index=True, return_inverse=True)
+            distinct = np.stack([c[first] for c in columns], axis=1)
+        else:
+            distinct, shape_of = np.unique(
+                np.stack(columns, axis=1), axis=0, return_inverse=True)
+        self.shape_of = shape_of.reshape(-1)
+        experts = batch.experts
+        self.shapes = [
+            GroupShape((experts[c].name, b, p, o), experts[c])
+            for c, b, p, o in distinct.tolist()
+        ]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def expert_of(self, group: int) -> ExpertProfile:
+        return self.batch.experts[self.codes[group]]
+
+    def requests_of(self, group: int) -> List[EngineRequest]:
+        lo, hi = self.starts[group], self.starts[group + 1]
+        batch = self.batch
+        return [batch[r] for r in self.rows[lo:hi].tolist()]
+
+    def groups(self, index: Optional[np.ndarray] = None) -> List["RequestGroup"]:
+        """:class:`RequestGroup` objects of groups ``index`` (all if None),
+        for the drains that walk objects; phase keys come pre-computed."""
+        items = self.batch.elements()
+        experts = self.batch.experts
+        shapes = self.shapes
+        rows = self.rows.tolist()
+        starts = self.starts.tolist()
+        codes = self.codes.tolist()
+        shape_of = self.shape_of.tolist()
+        out = []
+        for g in (range(len(codes)) if index is None else index.tolist()):
+            group = RequestGroup(
+                expert=experts[codes[g]],
+                requests=tuple([items[r] for r in rows[starts[g]:starts[g + 1]]]),
+            )
+            object.__setattr__(group, "_phase_key", shapes[shape_of[g]].phase_key)
+            out.append(group)
+        return out
+
+    def priority_order(self) -> np.ndarray:
+        """:meth:`ClusterEngine._priority_order` as group indices:
+        highest priority first, plan order within a priority."""
+        top = np.maximum.reduceat(
+            self.batch.priorities[self.rows], self.starts[:-1])
+        return np.argsort(-top, kind="stable")
+
+
+def plan_requests(
+    requests: Sequence[EngineRequest],
+    scheduler: Scheduler,
+    policy: str,
+    window: int,
+    max_batch: int,
+) -> GroupPlan:
+    """The serving engines' front end, as arrays.
+
+    Group for group, the plan is
+    ``coalesce_groups(node_order(scheduler.order(requests)), max_batch)``
+    where ``node_order`` is :func:`affinity_schedule` over ``window``
+    (nothing for the ``fifo`` node policy): the scheduler's order and
+    the window reorder are stable argsorts (:func:`window_order`), and
+    coalescing is run-length encoding (:func:`run_starts`). A scheduler
+    with no array form (:meth:`Scheduler.order_rows` is None) orders
+    the elements instead.
+    """
+    batch = RequestBatch.from_requests(requests)
+    rows = scheduler.order_rows(batch)
+    if rows is None:
+        batch = RequestBatch.from_requests(scheduler.order(batch))
+        rows = np.arange(len(batch))
+    if policy != "fifo":
+        rows = rows[window_order(batch.codes[rows], window)]
+    codes = batch.codes[rows]
+    starts = run_starts(codes, max_batch)
+    return GroupPlan(batch, rows, starts, codes[starts[:-1]])
 
 
 class GroupAssembler:

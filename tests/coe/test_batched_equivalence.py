@@ -14,6 +14,7 @@ are recorded together), which is an artifact of dict insertion order,
 not of the simulation.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -417,3 +418,155 @@ def test_randomized_seeds_sweep():
         assert _timeline_lanes(fast.timeline) == _timeline_lanes(
             reference.timeline
         ), (trial, policy, cache)
+
+
+# ---------------------------------------------------------------------------
+# The columnar request plane vs the object front end (drain_mode="reference")
+
+PLANE_CACHES = ("lru", "lfu", "gdsf", "lookahead", "predictive")
+
+
+def _plane_workload(rng, varied):
+    library, requests = _random_workload(rng)
+    if varied:
+        # Per-request shapes and priorities: groups rarely share a
+        # phase-memo key, and deadline shedding has an order to keep.
+        requests = [
+            dataclasses.replace(
+                r, prompt_tokens=rng.randint(16, 512),
+                output_tokens=rng.randint(2, 40), priority=rng.randrange(3),
+            )
+            for r in requests
+        ]
+    return library, requests
+
+
+def _assert_plain_python(records, log):
+    """No NumPy scalar may leak into completions or decisions: their
+    reprs are compared across clocks (``repr(eta)``)."""
+    for record in records:
+        for value in record:
+            assert type(value) in (int, float, str), (record, type(value))
+    for _, decision in log:
+        for value in decision.detail:
+            assert type(value) in (int, float, str), (decision, type(value))
+
+
+def _plane_configs(rng, node_policy, count):
+    for _ in range(count):
+        tiered = rng.random() < 0.5
+        yield dict(
+            cache_policy=rng.choice(PLANE_CACHES),
+            scheduler=rng.choice(["fifo", "expert_reorder"]),
+            deadline=rng.random() < 0.5,
+            varied=rng.random() < 0.5,
+            tiered=tiered,
+            pipeline=tiered and node_policy != "overlap" and rng.random() < 0.5,
+            max_batch=rng.randrange(1, 10),
+            window=rng.randrange(1, 40),
+            # Unlogged cluster runs take the plane's vectorized routing.
+            logged=rng.random() < 0.5,
+        )
+
+
+@pytest.mark.parametrize("node_policy", ["fifo", "affinity", "overlap"])
+@pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
+def test_cluster_request_plane_equals_reference(policy, node_policy):
+    """Cluster policy x node policy x cache x scheduler x deadline x
+    per-request lengths x tier capacities: the plane (any non-reference
+    requested mode) reproduces the object front end's report,
+    completion records and decision log exactly."""
+    rng = random.Random(f"plane:{policy}:{node_policy}")
+    for config in _plane_configs(rng, node_policy, 2):
+        library, requests = _plane_workload(rng, config["varied"])
+        caps = _tier_caps(library, 0.4, 0.6) if config["tiered"] else None
+
+        def run(mode, deadline_s=None):
+            log = DecisionLog() if config["logged"] else None
+            engine = ClusterEngine(
+                sn40l_platform, library, num_nodes=3, policy=policy,
+                node_policy=node_policy, max_batch=config["max_batch"],
+                window=config["window"],
+                online_replication=policy == "steal",
+                cache_policy=config["cache_policy"],
+                scheduler=config["scheduler"], tier_capacities=caps,
+                pipeline_promotions=config["pipeline"],
+                deadline_s=deadline_s, record_timeline=False,
+                drain_mode=mode, decision_log=log,
+            )
+            return engine.serve(requests), engine, log
+
+        deadline_s = None
+        if config["deadline"]:
+            deadline_s = 0.5 * run("reference")[0].makespan_s
+        reference, ref_engine, ref_log = run("reference", deadline_s)
+        plane, engine, log = run("columnar", deadline_s)
+        key = (policy, node_policy, config)
+        assert plane.to_dict() == reference.to_dict(), key
+        assert engine.completed_requests() == ref_engine.completed_requests()
+        assert engine.rejected == ref_engine.rejected, key
+        if log is not None:
+            assert log == ref_log, (key, log.diff(ref_log))
+        _assert_plain_python(engine.completed_requests(), log or ())
+
+
+@pytest.mark.parametrize("node_policy", ["fifo", "affinity", "overlap"])
+def test_engine_request_plane_equals_reference(node_policy):
+    rng = random.Random(f"plane-engine:{node_policy}")
+    for config in _plane_configs(rng, node_policy, 3):
+        library, requests = _plane_workload(rng, config["varied"])
+        caps = _tier_caps(library, 0.4, 0.6) if config["tiered"] else None
+
+        def run(mode):
+            log = DecisionLog()
+            report = ServingEngine(
+                sn40l_platform(), library, policy=node_policy,
+                max_batch=config["max_batch"], window=config["window"],
+                cache_policy=config["cache_policy"],
+                scheduler=config["scheduler"], tier_capacities=caps,
+                pipeline_promotions=config["pipeline"],
+                record_timeline=False, drain_mode=mode, decision_log=log,
+            ).run(requests)
+            return report, log
+
+        reference, ref_log = run("reference")
+        plane, log = run("columnar")
+        key = (node_policy, config)
+        assert plane.to_dict() == reference.to_dict(), key
+        assert plane.completed == reference.completed, key
+        assert log == ref_log, (key, log.diff(ref_log))
+        _assert_plain_python(plane.completed, log)
+
+
+@pytest.mark.parametrize("deadline", [False, True])
+def test_cluster_request_plane_multi_owner_routing(deadline):
+    """Experts replicated before admission take the plane's scalar
+    ``choose_node`` path (least backlog, affinity tails); it must pick
+    the nodes the object front end picks."""
+    rng = random.Random(f"plane-replicas:{deadline}")
+    library, requests = _plane_workload(rng, varied=True)
+    hot = [r.expert for r in requests[:40]]
+
+    def run(mode, deadline_s=None):
+        log = DecisionLog()
+        engine = ClusterEngine(
+            sn40l_platform, library, num_nodes=3, policy="affinity",
+            node_policy="affinity", deadline_s=deadline_s,
+            record_timeline=False, drain_mode=mode, decision_log=log,
+        )
+        for expert in {e.name: e for e in hot}.values():
+            for node in engine.nodes:
+                if expert.name not in node.hosted:
+                    node.engine.host(expert)
+                    node.hosted.add(expert.name)
+                    engine._owners[expert.name].append(node.index)
+        return engine.serve(requests), engine, log
+
+    deadline_s = (0.5 * run("reference")[0].makespan_s if deadline
+                  else None)
+    reference, ref_engine, ref_log = run("reference", deadline_s)
+    plane, engine, log = run("columnar", deadline_s)
+    assert plane.to_dict() == reference.to_dict()
+    assert engine.completed_requests() == ref_engine.completed_requests()
+    assert log == ref_log, log.diff(ref_log)
+    assert len({d.choice for _, d in log if d.kind == "dispatch"}) == 3
