@@ -586,10 +586,12 @@ class ClusterEngine:
         """:meth:`_dispatch` over group columns, in admission ``order``.
 
         The admission backlog of each node is the running sum of its
-        admitted groups' execution times — bitwise the fresh left-to-
-        right sum over its append-only queue — and its tail the last
-        admitted expert. Returns each admitted group's node index, -1
-        where the deadline shed it.
+        admitted groups' execution times, added left to right from 0.0
+        — the same floats as :meth:`ServingEngine.estimated_backlog_s`,
+        whose queued-work memo ``submit`` extends by the same ``+=``
+        while the queue only grows — and its tail the last admitted
+        expert. Returns each admitted group's node index, -1 where the
+        deadline shed it.
         """
         names = [e.name for e in plan.batch.experts]
         keys = [s.phase_key for s in plan.shapes]

@@ -11,8 +11,12 @@ call these functions with state they maintain by identical rules:
 - ``backlog_of(i)`` — the admission-logical backlog of node ``i``: the
   running float sum of every previously admitted group's execution
   time, accumulated in admission order (the cluster engine's
-  ``_admit_scalar`` running sums; the live dispatcher's mirror of
-  them). Never a measured quantity.
+  ``_admit_scalar`` running sums; the object front end's
+  ``ServingEngine.estimated_backlog_s``, whose memo ``submit`` extends
+  by the same ``+=``; the live dispatcher's mirror of them). Never a
+  measured quantity. Every one of them adds left to right from 0.0 —
+  never ``sum()``, which is compensated from Python 3.12 on and so
+  not bitwise a running ``+=``.
 - ``tail_of(i)`` — the expert name of the last group admitted to node
   ``i`` (the queue tail at admission time), or None.
 

@@ -377,6 +377,11 @@ class ServingEngine:
 
     def _reset_run_state(self) -> None:
         self._queue: "deque[RequestGroup]" = deque()
+        #: Memo of the queue's left-to-right exec-time sum:
+        #: ``(sum, slow_factor, queue length)`` it was computed at, or
+        #: None. :meth:`submit` extends it; every other queue change
+        #: resets it (see :meth:`estimated_backlog_s`).
+        self._queued_memo: Optional[Tuple[float, float, int]] = None
         #: A request-plane backlog awaiting the columnar drain:
         #: ``(plan, group indices or None for all)`` (see submit_plan).
         self._planned: Optional[Tuple[GroupPlan, object]] = None
@@ -475,17 +480,42 @@ class ServingEngine:
         return counts
 
     def estimated_backlog_s(self) -> float:
-        """Closed-form estimate of queued + in-flight work (routing cost)."""
+        """Closed-form estimate of queued + in-flight work (routing cost).
+
+        In-flight work is ``busy_until - now``, read on every call. The
+        queued part is the exec-time sum over the queue, added strictly
+        left to right from 0.0 — bitwise the running sums admission
+        keeps (``ClusterEngine._admit_scalar``, the live dispatcher),
+        on every Python version (``sum()`` of floats is compensated
+        from 3.12 on). It is memoized: :meth:`submit` extends the memo
+        by one addition, so a queue that only grows costs O(1) per
+        read; any other queue change or a ``slow_factor`` change makes
+        the next read recompute it.
+        """
         self._unplan()
         now = self._sim.now if self._sim is not None else 0.0
         total = max(0.0, self._busy_until_s - now) if self._busy else 0.0
-        return total + sum(self._group_exec_time(g) for g in self._queue)
+        queue = self._queue
+        memo = self._queued_memo
+        if memo is None or memo[1:] != (self.slow_factor, len(queue)):
+            queued = 0.0
+            for group in queue:
+                queued += self._group_exec_time(group)
+            memo = self._queued_memo = (queued, self.slow_factor, len(queue))
+        return total + memo[0]
 
     def submit(self, group: RequestGroup) -> None:
         """Enqueue one group; starts it immediately if the engine is idle."""
         if self._halted:
             raise RuntimeError("cannot submit to a halted (crashed) engine")
         self._unplan()
+        memo = self._queued_memo
+        if memo is not None and memo[1:] == (self.slow_factor,
+                                             len(self._queue)):
+            self._queued_memo = (memo[0] + self._group_exec_time(group),
+                                 memo[1], memo[2] + 1)
+        else:
+            self._queued_memo = None
         self._queue.append(group)
         self._kick()
 
@@ -505,6 +535,7 @@ class ServingEngine:
             self._planned = (plan, index)
         else:
             self._unplan()
+            self._queued_memo = None
             self._queue.extend(plan.groups(index))
         self._kick()
 
@@ -514,6 +545,7 @@ class ServingEngine:
         if self._planned is not None:
             plan, index = self._planned
             self._planned = None
+            self._queued_memo = None
             self._queue.extend(plan.groups(index))
 
     def steal(self, wanted: Callable[[ExpertProfile], bool]) -> Optional[RequestGroup]:
@@ -530,6 +562,7 @@ class ServingEngine:
             if wanted(self._queue[i].expert):
                 group = self._queue[i]
                 del self._queue[i]
+                self._queued_memo = None
                 return group
         return None
 
@@ -600,6 +633,7 @@ class ServingEngine:
             self._current = None
         orphans.extend(self._queue)
         self._queue.clear()
+        self._queued_memo = None
         return orphans
 
     def inject_copy_faults(self, count: int = 1) -> None:
@@ -880,6 +914,7 @@ class ServingEngine:
         sim = self._sim
         runtime = self.server.runtime
         group = self._queue.popleft()
+        self._queued_memo = None
         self._busy = True
         index = self._groups_started
         self._groups_started += 1
@@ -1084,6 +1119,8 @@ class ServingEngine:
         phase_cache = self._phase_cache
         queue = self._queue
         popleft = queue.popleft
+        # The loop empties the queue; nothing reads the backlog inside it.
+        self._queued_memo = None
         completed_append = self.completed.append
         overlap = self.policy == "overlap"
         pipelining = self._pipeline_active

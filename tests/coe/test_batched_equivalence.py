@@ -570,3 +570,44 @@ def test_cluster_request_plane_multi_owner_routing(deadline):
     assert engine.completed_requests() == ref_engine.completed_requests()
     assert log == ref_log, log.diff(ref_log)
     assert len({d.choice for _, d in log if d.kind == "dispatch"}) == 3
+
+
+@pytest.mark.parametrize("node_policy", ["overlap", "fifo"])
+def test_cluster_crash_recovery_equals_reference(node_policy):
+    """Two node crashes on a steal cluster with deadline admission and
+    per-request lengths: crash recovery's re-dispatch (orphan promotion,
+    deadline re-admission against survivors' backlogs, steals and
+    replication) decides identically under the default configuration
+    and ``drain_mode="reference"`` — report, completion records and the
+    decision log, the admission stream's ``repr(eta)`` included."""
+    rng = random.Random(f"crash-recovery:{node_policy}")
+    library = build_samba_coe_library(48)
+    requests = [
+        dataclasses.replace(
+            r, prompt_tokens=rng.randint(64, 512),
+            output_tokens=rng.randint(8, 40), priority=rng.randrange(3),
+        )
+        for r in zipf_request_stream(library, 1200, alpha=1.1,
+                                     seed=rng.randrange(1 << 30))
+    ]
+
+    def run(mode, faults=(), deadline_s=None):
+        log = DecisionLog()
+        engine = ClusterEngine(
+            sn40l_platform, library, num_nodes=4, policy="steal",
+            node_policy=node_policy, online_replication=True,
+            faults=list(faults), deadline_s=deadline_s,
+            record_timeline=False, drain_mode=mode, decision_log=log,
+        )
+        return engine.serve(requests), engine, log
+
+    makespan = run(None)[0].makespan_s
+    faults = [f"crash:1:{0.2 * makespan!r}", f"crash:2:{0.45 * makespan!r}"]
+    deadline_s = 1.5 * makespan
+    default, engine, log = run(None, faults, deadline_s)
+    reference, ref_engine, ref_log = run("reference", faults, deadline_s)
+    assert default.redispatched_groups > 0 and default.rejected > 0
+    assert default.to_dict() == reference.to_dict()
+    assert engine.completed_requests() == ref_engine.completed_requests()
+    assert engine.rejected == ref_engine.rejected
+    assert log == ref_log, log.diff(ref_log)
