@@ -208,7 +208,7 @@ class GDSFPolicy(CachePolicy):
         if self._runtime is not None:
             # The DDR->HBM edge, regardless of where the expert sits now:
             # GDSF scores must not depend on transient NVMe residency or
-            # the three-way drain equivalence would break.
+            # the reference == columnar drain equivalence would break.
             return self._runtime.transfer_time("ddr", "hbm", expert.weight_bytes)
         return float(expert.weight_bytes)
 

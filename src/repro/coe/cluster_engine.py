@@ -229,7 +229,7 @@ class ClusterReport:
     deadline_s: Optional[float] = None
     nodes: Tuple[NodeSummary, ...] = ()
     #: ``None`` when the run was traced with ``record_timeline=False``;
-    #: excluded from equality so batched and reference runs compare by
+    #: excluded from equality so columnar and reference runs compare by
     #: their simulated metrics (lane dict order differs — compare lanes
     #: explicitly via :meth:`repro.obs.Timeline.spans` when needed).
     timeline: Optional[Timeline] = field(repr=False, compare=False, default=None)
@@ -315,10 +315,9 @@ class ClusterEngine:
         heartbeat_s: float = 0.05,
         deadline_s: Optional[float] = None,
         cache_policy: CachePolicyLike = None,
-        event_batching: bool = True,
         record_timeline: bool = True,
         decision_log: Optional[DecisionLog] = None,
-        drain_mode: "Union[str, DrainMode, None]" = None,
+        drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
         scheduler: SchedulerLike = None,
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
@@ -367,15 +366,8 @@ class ClusterEngine:
         self.sim = Simulator(timeline=self.timeline)
         self.sim.set_batch_handler(DRAIN_EVENT_KIND, _run_drain_batch)
         self.faults = _coerce_faults(faults)
-        #: Requested drain mode: an explicit ``drain_mode`` wins, else
-        #: the legacy ``event_batching`` flag maps True -> columnar and
-        #: False -> reference (see :class:`DrainMode`).
-        if drain_mode is None:
-            requested = (
-                DrainMode.COLUMNAR if event_batching else DrainMode.REFERENCE
-            )
-        else:
-            requested = DrainMode.coerce(drain_mode)
+        #: Requested drain mode (see :class:`DrainMode`).
+        requested = DrainMode.coerce(drain_mode)
         #: Whole-queue drains are only equivalent when nothing can
         #: interleave with a node's queue mid-run: the steal policy's
         #: hooks and every fault path (crash/slow/copy-fault events land
@@ -385,7 +377,6 @@ class ClusterEngine:
         else:
             effective = requested
         self.drain_mode = effective.value
-        self.event_batching = effective is not DrainMode.REFERENCE
         #: The request plane (:meth:`_admit_plan`) follows the
         #: *requested* mode, not the policy/fault-gated one: its array
         #: front end, bulk phase precompute and incremental admission
@@ -445,8 +436,8 @@ class ClusterEngine:
             if self.policy == "steal":
                 # Only the steal policy reacts to these hooks
                 # (:meth:`_node_idle` is a no-op otherwise); leaving them
-                # uninstalled lets the other policies' engines take the
-                # batched-drain fast path.
+                # uninstalled lets the other policies' engines drain
+                # whole queues.
                 engine.on_idle = lambda _eng, n=node: self._node_idle(n)
                 engine.on_group_done = (
                     lambda _eng, _group, n=node: self._node_idle(n)
@@ -889,10 +880,12 @@ class ClusterEngine:
                 "drained-until markers and the shared simulator's event "
                 "count persist — construct a fresh ClusterEngine per run"
             )
-        self._served = True
         if not requests:
             raise ValueError("empty request backlog")
         reject_duplicate_ids(requests)
+        # Set only once the backlog is valid: a rejected one touched no
+        # state, so the cluster may still serve a valid one.
+        self._served = True
         if self.faults:
             self._injector = FaultInjector(
                 self.sim,
@@ -926,7 +919,7 @@ class ClusterEngine:
             num_groups = len(groups)
             output_tokens = sum(r.output_tokens for r in requests)
         end_clock = self.sim.run()
-        # Batched drains finish their work on local clocks past the last
+        # Whole-queue drains finish their work on local clocks past the last
         # shared-clock event; the cluster end is the latest of both.
         end_clock = max(
             [end_clock] + [n.engine._drained_until for n in self.nodes]
@@ -1060,9 +1053,8 @@ def run_cluster(
     heartbeat_s: float = 0.05,
     deadline_s: Optional[float] = None,
     cache_policy: CachePolicyLike = None,
-    event_batching: bool = True,
     record_timeline: bool = True,
-    drain_mode: "Union[str, DrainMode, None]" = None,
+    drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
     scheduler: SchedulerLike = None,
     tier_capacities: Optional[Dict[str, int]] = None,
     pipeline_promotions: bool = False,
@@ -1081,7 +1073,6 @@ def run_cluster(
         heartbeat_s=heartbeat_s,
         deadline_s=deadline_s,
         cache_policy=cache_policy,
-        event_batching=event_batching,
         record_timeline=record_timeline,
         drain_mode=drain_mode,
         scheduler=scheduler,

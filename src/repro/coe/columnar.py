@@ -1,20 +1,19 @@
 """Columnar (structure-of-arrays) drain core for the serving engines.
 
-The PR 6 batched drain (:meth:`ServingEngine._drain_batched`) replaced
-per-group simulator events with one Python loop iteration per group.
-On a million-request run that loop *is* the cost: a dict probe, a
+A whole-queue drain replaces per-group simulator events with one pass
+over the queue on a local clock. Done one Python iteration per group,
+that pass *is* the cost of a million-request run: a dict probe, a
 predictor observation, a cache activation, a float add chain and one
 ``CompletedRequest`` NamedTuple per request — all interpreter work.
 
-This module vectorizes the loop itself. A queued backlog is *lowered*
+This module vectorizes the pass itself. A queued backlog is *lowered*
 once into parallel arrays (:func:`lower_queue`), gathered from the
 request plane's :class:`~repro.coe.scheduling.GroupPlan` columns:
 per-group expert names, phase-time triples (read from the engine's
 phase memo, which :meth:`ServingEngine.precompute_phases` seeds through
 the vectorized ``perf.kernel_cost`` batch entry points), batch sizes,
 and per-request request-id/arrival/output-token columns. The drain
-(:func:`drain`) then
-segments the queue into **runs**:
+(:func:`drain`) then segments the queue into **runs**:
 
     a run is a maximal stretch of groups whose experts are all
     HBM-resident with no pending copy-done barrier — so no eviction,
@@ -31,9 +30,13 @@ Cache/predictor bookkeeping for a run goes through the batch APIs
 :meth:`ExpertPredictor.observe_run`), each an order-equivalent bulk form
 of its scalar path. Only *decision points* — a cache miss (victim
 selection + demand copy), or a hit gated on a pending copy barrier —
-drop back to the exact scalar code of the batched drain, preserving
+drop back to the event path's scalar arithmetic, preserving
 ``CoERuntime.activate`` as the single cache-decision choke point the
-sim/live cross-check relies on.
+sim/live cross-check relies on. A decision point also runs the event
+path's per-group work: the pipelined promotion and the ``overlap``
+prefetch of the next group's expert, and the phase spans of a recorded
+timeline. Under ``overlap``, pipelining or a timeline, every group is a
+decision point.
 
 Completions land in a :class:`CompletedLog`: run segments append whole
 column blocks (no per-request allocation), decision points append scalar
@@ -45,7 +48,7 @@ float64 arrays is elementwise-bitwise-equal to the scalar property).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, TYPE_CHECKING
+from typing import Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -122,7 +125,7 @@ class CompletedLog:
     """Completion store mixing scalar records and column blocks.
 
     Ordered segments: plain ``CompletedRequest`` lists (decision points,
-    and any fallback drain that appends record by record) interleaved
+    and a hooked engine's event path, record by record) interleaved
     with :class:`_Block` columns (vectorized runs). :attr:`append` is
     the *bound* ``list.append`` of the current tail segment — the scalar
     paths pay zero dispatch overhead over appending to a bare list.
@@ -270,8 +273,8 @@ def lower_queue(
     per distinct shape (seeded in bulk by the vectorized
     ``precompute_phases``; a cold shape is seeded here), gathered once.
     The slow factor is applied here once — it cannot change inside a
-    drain event, and ``x * 1.0`` is skipped exactly as the batched loop
-    skips it.
+    drain event, and ``x * 1.0`` is bitwise ``x``, so skipping it
+    changes no timestamp.
     """
     if index is None:
         codes, sizes, shape_of = plan.codes, plan.sizes, plan.shape_of
@@ -316,21 +319,27 @@ def lower_queue(
     )
 
 
-def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float:
-    """Drain lowered columns on a local clock; returns the end time.
+def drain(
+    engine: "ServingEngine", cols: GroupColumns, start_at: float
+) -> Tuple[float, int]:
+    """Drain lowered columns on a local clock.
 
-    The array-parallel form of :meth:`ServingEngine._drain_batched` for
-    the non-``overlap``, untraced case (the caller guarantees both).
+    Returns the end time and the number of overlap prefetches the
+    reference path would have deferred to an event of their own.
+
     Runs of resident-expert groups are timestamped by one cumsum and
     their cache/predictor bookkeeping applied through the batch APIs;
-    each decision point executes the batched loop's scalar code
-    verbatim. The segmentation is conservative — a group is only
-    admitted to a run if its expert is resident *and* any pending copy
-    completed by the run's start — and a group it excludes is simply
-    re-examined (scalar) at its true start time, where the identical
-    hit/barrier/miss arithmetic applies. State mutations therefore
-    happen in the same order with the same values as the batched loop,
-    which the three-way equivalence grid asserts byte-for-byte.
+    each decision point executes the reference path's begin/finish
+    arithmetic in scalar code. The segmentation is conservative — a
+    group is only admitted to a run if its expert is resident *and* any
+    pending copy completed by the run's start — and a group it excludes
+    is simply re-examined (scalar) at its true start time, where the
+    identical hit/barrier/miss arithmetic applies. Under the ``overlap``
+    policy (a prefetch decision per group), pipelined promotions (a tier
+    peek per group) or a recorded timeline (a span per phase) every
+    group is a decision point. State mutations therefore happen in the
+    same order with the same values as the event-by-event reference,
+    which the equivalence grid asserts byte-for-byte.
     """
     CompletedRequest = _completed_request_type()
     runtime = engine.server.runtime
@@ -344,12 +353,19 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
     flat = cols.flat
     bounds = cols.offsets.tolist()
     n = len(names)
+    overlap = engine.policy == "overlap"
+    pipelining = engine._pipeline_active
+    tracing = engine._sim.timeline is not None
+    scan = not (overlap or pipelining or tracing)
+    first_index = engine._groups_started
+    deferred = 0
+    engine._drain_names = names
     now = start_at
     pos = 0
     while pos < n:
         # --- scan the maximal run of barrier-free resident hits -------
         run_end = pos
-        while run_end < n:
+        while scan and run_end < n:
             name = names[run_end]
             if name not in resident:
                 break
@@ -383,7 +399,8 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             now = float(acc[-1])
             pos = run_end
             continue
-        # --- decision point: the batched loop's scalar code -----------
+        # --- decision point: the reference path's scalar code ---------
+        engine._drain_next = pos + 1  # the lookahead backlog
         expert = experts[pos]
         expert_name = names[pos]
         observe(expert)
@@ -393,11 +410,26 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             exec_start = now if done is None or done <= now else done
         else:
             exec_start = engine._demand_copy(expert, now=now)
+        nxt = experts[pos + 1] if pos + 1 < n else None
+        engine._pipeline_promote(now, nxt)
+        if overlap and nxt is not None:
+            if exec_start > now:
+                # The reference path defers this to its own event at
+                # exec_start; nothing else of this engine runs in
+                # between, so replaying it inline at that time is the
+                # same interleaving.
+                deferred += 1
+                engine._prefetch_next(expert_name, nxt, now=exec_start)
+            else:
+                engine._prefetch_next(expert_name, nxt, now=now)
         base = flat[pos].tolist()
         end = exec_start + base[0] + base[1] + base[2]
         lo = bounds[pos]
         hi = bounds[pos + 1]
         batch = hi - lo
+        if tracing:
+            engine._record_phases(expert_name, batch, exec_start, base,
+                                  first_index + pos)
         append = log.append
         for req_id, arrival, tokens in zip(
             cols.req_ids[lo:hi].tolist(), cols.arrivals[lo:hi].tolist(),
@@ -413,5 +445,5 @@ def drain(engine: "ServingEngine", cols: GroupColumns, start_at: float) -> float
             done = copy_done.get(head_name)
             if done is not None and done > now and head_name in resident:
                 now = done
-    engine._busy_until_s = now
-    return now
+    engine._drain_names = None
+    return now, deferred

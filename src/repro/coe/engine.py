@@ -51,7 +51,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
@@ -268,10 +269,9 @@ class ServingEngine:
         simulator: Optional[EventSource] = None,
         lane_prefix: str = "",
         cache_policy: CachePolicyLike = None,
-        event_batching: bool = True,
         record_timeline: bool = True,
         decision_log: Optional[DecisionLog] = None,
-        drain_mode: "Union[str, DrainMode, None]" = None,
+        drain_mode: Union[str, DrainMode] = DrainMode.COLUMNAR,
         scheduler: SchedulerLike = None,
         tier_capacities: Optional[Dict[str, int]] = None,
         pipeline_promotions: bool = False,
@@ -292,24 +292,12 @@ class ServingEngine:
         self.max_batch = max_batch
         self.window = window
         self.lane_prefix = lane_prefix
-        #: How queued groups execute (:class:`DrainMode`) — all modes
-        #: byte-identical, see docs/PERFORMANCE.md. An explicit
-        #: ``drain_mode`` wins; otherwise the legacy ``event_batching``
-        #: flag maps True -> columnar (the full fast path) and
-        #: False -> reference, preserving every existing call site's
-        #: meaning of "fast" and "event-by-event seed-equivalent".
-        if drain_mode is None:
-            mode = DrainMode.COLUMNAR if event_batching else DrainMode.REFERENCE
-        else:
-            mode = DrainMode.coerce(drain_mode)
-        self.drain_mode = mode.value
-        #: Fast path: drain the whole queue in one simulator event with a
-        #: local clock instead of one begin/finish event pair per group.
-        #: Equivalent by construction (same state mutations, same order,
-        #: same timestamps — see docs/PERFORMANCE.md) and automatically
-        #: suppressed whenever an external party could interleave with
-        #: the queue mid-run (cluster steal hooks, fault injection).
-        self.event_batching = mode is not DrainMode.REFERENCE
+        #: How queued groups execute (:class:`DrainMode`) — both modes
+        #: byte-identical, see docs/PERFORMANCE.md. ``columnar`` drains
+        #: the whole queue in one simulator event on a local clock,
+        #: unless an external party could interleave with the queue
+        #: mid-run (installed hooks; see :meth:`_batch_ok`).
+        self.drain_mode = DrainMode.coerce(drain_mode).value
         #: ``False`` skips building a span timeline in :meth:`run` — the
         #: report's timeline-derived switch stats then read 0.0.
         self.record_timeline = record_timeline
@@ -329,14 +317,10 @@ class ServingEngine:
         if (isinstance(runtime_policy, PredictivePolicy)
                 and runtime_policy.predictor is None):
             runtime_policy.predictor = self._predictor
-        #: A lookahead policy reads this engine's remaining queue as its
-        #: backlog window: the queue holds exactly the groups not yet
-        #: begun, in scheduled order, at every eviction decision point.
-        self._lookahead = isinstance(runtime_policy, LookaheadPolicy)
-        if self._lookahead:
-            runtime_policy.bind_backlog(
-                lambda: (g.expert.name for g in self._queue)
-            )
+        #: A lookahead policy reads the groups not yet begun, in
+        #: scheduled order, as its backlog window (:meth:`_backlog_names`).
+        if isinstance(runtime_policy, LookaheadPolicy):
+            runtime_policy.bind_backlog(self._backlog_names)
         self.cache_policy = runtime_policy.name
         #: Whether the CoServe-style promotion pipeline is live: it needs
         #: a bounded DDR tier (otherwise there is nothing to promote).
@@ -385,6 +369,10 @@ class ServingEngine:
         #: A request-plane backlog awaiting the columnar drain:
         #: ``(plan, group indices or None for all)`` (see submit_plan).
         self._planned: Optional[Tuple[GroupPlan, object]] = None
+        #: While a columnar drain runs: its lowered expert names and the
+        #: position of the first group not yet begun (the backlog).
+        self._drain_names: Optional[List[str]] = None
+        self._drain_next = 0
         self._busy = False
         self._begin_scheduled = False
         self._busy_until_s = 0.0
@@ -406,9 +394,9 @@ class ServingEngine:
         self.speculative_prefetches = 0
         #: Completion store. Columnar mode uses a :class:`CompletedLog`
         #: so vectorized runs append whole column blocks; its bound
-        #: ``append`` keeps the scalar paths (decision points, the
-        #: batched fallback) as cheap as appending to the plain list the
-        #: other modes keep. Either way consumers see per-request
+        #: ``append`` keeps the scalar paths (decision points, hooked
+        #: event-by-event groups) as cheap as appending to the plain list
+        #: the reference mode keeps. Either way consumers see per-request
         #: :class:`CompletedRequest` records in completion order.
         self.completed: "Union[List[CompletedRequest], CompletedLog]" = (
             CompletedLog() if self.drain_mode == DrainMode.COLUMNAR.value
@@ -429,7 +417,7 @@ class ServingEngine:
         #: from RuntimeStats.switch_time_s, whose contract is that
         #: failures contribute no bytes and no copy time.
         self.retry_dma_s = 0.0
-        #: End of the last group completed by a batched drain. Drains run
+        #: End of the last group completed by a whole-queue drain. Drains run
         #: on a local clock and never advance a (possibly shared)
         #: simulator clock, so the makespan is
         #: ``max(sim.run(), drained_until)`` across engines.
@@ -522,8 +510,8 @@ class ServingEngine:
     def submit_plan(self, plan: GroupPlan, index=None) -> None:
         """Enqueue the plan's groups ``index`` (all when None), in order.
 
-        The request plane's hand-off. An engine whose drains are
-        columnar keeps the plan's columns and builds no
+        The request plane's hand-off. An engine that drains whole
+        queues keeps the plan's columns and builds no
         :class:`RequestGroup` — :func:`repro.coe.columnar.lower_queue`
         gathers them at drain time. Any other engine queues the groups
         as objects, exactly as if each had been :meth:`submit`-ted.
@@ -531,7 +519,7 @@ class ServingEngine:
         if self._halted:
             raise RuntimeError("cannot submit to a halted (crashed) engine")
         if (self._planned is None and not self._queue
-                and self._drains_columnar()):
+                and self._batch_ok()):
             self._planned = (plan, index)
         else:
             self._unplan()
@@ -768,7 +756,7 @@ class ServingEngine:
         """
         sim = self._sim
         if now is None:
-            now = sim.now  # event path; batched drains pass a local clock
+            now = sim.now  # event path; drains pass a local clock
         self.flush_speculation(now)
         start = max(now, self._dma_free_s)
         event = self.server.runtime.activate(
@@ -804,25 +792,27 @@ class ServingEngine:
         self._copy_done[expert.name] = done
         return done
 
-    def _pipeline_promote(self, now: float) -> None:
-        """Start the queue head's NVMe->DDR promotion behind this group.
+    def _pipeline_promote(
+        self, now: float, nxt: Optional[ExpertProfile]
+    ) -> None:
+        """Start the next group's NVMe->DDR promotion behind this group.
 
         The CoServe pipelining trick: called right after the current
-        group's activation on every drain path, it peeks the scheduler's
-        reordered backlog and, if the next group's expert is still
-        NVMe-resident, commits its promotion
-        (:meth:`CoERuntime.promote_to_ddr`) and books the DMA occupancy
-        on the prefetch lane starting at the DMA's next free slot — so
-        the copy overlaps this group's compute and the upcoming demand
-        miss pays only the DDR->HBM hop. Pure bookkeeping on the local
-        clock (no new simulator events), so the reference and batched
-        drains stay bitwise-identical; promotions are never recorded in
-        the decision log (prefetcher traffic, not a policy decision), so
-        sim/live cross-check streams are unchanged.
+        group's activation on both drain paths with the expert of the
+        scheduler's next group (the queue head on the event path, the
+        next lowered group in a drain); if it is still NVMe-resident,
+        commits its promotion (:meth:`CoERuntime.promote_to_ddr`) and
+        books the DMA occupancy on the prefetch lane starting at the
+        DMA's next free slot — so the copy overlaps this group's compute
+        and the upcoming demand miss pays only the DDR->HBM hop. Pure
+        bookkeeping on the local clock (no new simulator events), so the
+        reference and columnar drains stay bitwise-identical; promotions
+        are never recorded in the decision log (prefetcher traffic, not
+        a policy decision), so sim/live cross-check streams are
+        unchanged.
         """
-        if not self._pipeline_active or not self._queue:
+        if not self._pipeline_active or nxt is None:
             return
-        nxt = self._queue[0].expert
         runtime = self.server.runtime
         if runtime.tier_of(nxt.name) != "nvme":
             return
@@ -843,32 +833,30 @@ class ServingEngine:
             },
         )
 
-    def _drains_columnar(self) -> bool:
-        """Whether this engine's drains take the columnar core.
+    def _backlog_names(self) -> Iterator[str]:
+        """Expert names of the groups not yet begun, soonest first.
 
-        ``columnar`` mode vectorizes a drain whenever no per-group
-        Python decision is inherent to the configuration; it falls back
-        to the batched loop for the speculative ``overlap`` policy (a
-        prefetch decision per group), a span-traced run (a timeline
-        record per phase), pipelined NVMe promotions (a tier peek per
-        group), and a lookahead cache policy (whose backlog window is
-        the live queue). Installed hooks make every group its own event.
+        The lookahead policy's backlog window. Inside a columnar drain
+        it is the lowered names after the group being decided — what
+        the queue holds once that group has begun on the event path —
+        read lazily, so a scan stops at the policy's horizon.
         """
-        return (self.drain_mode == "columnar" and self.policy != "overlap"
-                and not self._pipeline_active and not self._lookahead
-                and self._sim is not None and self._sim.timeline is None
-                and self._batch_ok())
+        names = self._drain_names
+        if names is None:
+            return (g.expert.name for g in self._queue)
+        return (names[i] for i in range(self._drain_next, len(names)))
 
     def _batch_ok(self) -> bool:
         """Whether draining the whole queue in one event is equivalent.
 
-        Hooks are the cluster scheduler's surface for interleaving with
-        this queue mid-run (stealing, replication); with any installed,
-        every group must go through its own begin/finish events so the
-        hooks observe real intermediate states. Fault schedules disable
-        batching at construction time (see :class:`ClusterEngine`).
+        True in ``columnar`` mode unless hooks are installed: hooks are
+        the cluster scheduler's surface for interleaving with this queue
+        mid-run (stealing, replication), so with any installed, every
+        group must go through its own begin/finish events so the hooks
+        observe real intermediate states. Fault schedules force the
+        reference mode at construction time (see :class:`ClusterEngine`).
         """
-        return (self.event_batching and self.on_idle is None
+        return (self.drain_mode == "columnar" and self.on_idle is None
                 and self.on_group_done is None)
 
     def _kick(self) -> None:
@@ -929,16 +917,18 @@ class ServingEngine:
             )
         else:
             exec_start = self._demand_copy(group.expert)
-        self._pipeline_promote(sim.now)
+        self._pipeline_promote(
+            sim.now, self._queue[0].expert if self._queue else None
+        )
         if self.policy == "overlap" and self._queue:
             # While this group executes, the DMA engines prefetch the
             # next queued expert (or speculate when it is already here).
             protect = group.expert.name
             if exec_start <= sim.now:
-                self._prefetch_next(protect)
+                self._prefetch_head(protect)
             else:
                 sim.schedule_at(
-                    exec_start, lambda: self._prefetch_next(protect)
+                    exec_start, lambda: self._prefetch_head(protect)
                 )
         end = exec_start + router_s + prefill_s + decode_s
         # Phase spans are recorded at finish time (see halt): the same
@@ -948,16 +938,23 @@ class ServingEngine:
         self._busy_until_s = end
         sim.schedule_at(end, self._finish_group)
 
+    def _prefetch_head(self, protected_name: str) -> None:
+        """The event path's prefetch: warms the queue head as of now."""
+        if self._queue:
+            self._prefetch_next(protected_name, self._queue[0].expert)
+
     def _prefetch_next(
-        self, protected_name: str, now: Optional[float] = None
+        self,
+        protected_name: str,
+        nxt: ExpertProfile,
+        now: Optional[float] = None,
     ) -> None:
-        """Warm the queue head's expert on the otherwise-idle DMA engines."""
-        if self._halted or not self._queue:
+        """Warm the next group's expert on the otherwise-idle DMA engines."""
+        if self._halted:
             return
         if now is None:
             now = self._sim.now  # event path; drains pass a local clock
         runtime = self.server.runtime
-        nxt = self._queue[0].expert
         if runtime.is_resident(nxt):
             self.flush_speculation(now)
             # Recency refresh, free hit — speculative: the demand access
@@ -983,36 +980,43 @@ class ServingEngine:
         else:
             self._demand_copy(nxt, speculative=True, now=now)
 
-    def _complete_group(
+    def _record_phases(
         self,
-        group: RequestGroup,
+        expert_name: str,
+        batch: int,
         exec_started: float,
-        phase_times: Tuple[float, float, float],
+        phase_times: Sequence[float],
         index: int,
-        finish_s: float,
     ) -> None:
-        """Record one finished group: phase spans + completion records.
+        """One group's router/prefill/decode spans on the compute lane.
 
-        Shared by the event path (``finish_s`` is the clock at the finish
-        event) and the batched drain (``finish_s`` is the local clock);
-        both pass ``exec_started + sum(phase_times)``, so the records are
-        bitwise-identical either way.
+        Shared by the event path (at the finish event) and the columnar
+        drain (at the group's decision point); both pass the same start
+        and phase times, so the spans are bitwise-identical either way.
         """
+        end = exec_started
+        for category, duration in zip(("router", "prefill", "decode"),
+                                      phase_times):
+            if duration > 0:
+                self._sim.record_span(
+                    f"{category}:{expert_name}",
+                    self.lane("compute"), category,
+                    start_s=end, end_s=end + duration,
+                    args={"group": index, "batch": batch},
+                )
+            end += duration
+
+    def _finish_group(self) -> None:
+        if self._halted or self._current is None:
+            return
+        group, exec_started, phase_times, index = self._current
+        self._current = None
         sim = self._sim
-        if sim.timeline is not None:
-            end = exec_started
-            for category, duration in zip(("router", "prefill", "decode"),
-                                          phase_times):
-                if duration > 0:
-                    sim.record_span(
-                        f"{category}:{group.expert.name}",
-                        self.lane("compute"), category,
-                        start_s=end, end_s=end + duration,
-                        args={"group": index, "batch": group.batch},
-                    )
-                end += duration
         expert_name = group.expert.name
         batch = group.batch
+        if sim.timeline is not None:
+            self._record_phases(expert_name, batch, exec_started,
+                                phase_times, index)
         append = self.completed.append
         for req in group.requests:
             append(CompletedRequest(
@@ -1021,19 +1025,10 @@ class ServingEngine:
                 batch=batch,
                 arrival_s=req.arrival_s,
                 start_s=exec_started,
-                finish_s=finish_s,
+                finish_s=sim.now,
                 output_tokens=req.output_tokens,
             ))
         self.groups_done += 1
-
-    def _finish_group(self) -> None:
-        if self._halted or self._current is None:
-            return
-        group, exec_started, phase_times, index = self._current
-        self._current = None
-        self._complete_group(
-            group, exec_started, phase_times, index, finish_s=self._sim.now
-        )
         self._busy = False
         if self.on_group_done is not None:
             self.on_group_done(self, group)
@@ -1043,153 +1038,44 @@ class ServingEngine:
             self._notify_idle()
 
     def _drain_queue(self, start_at: float) -> None:
-        """One whole-queue drain event: pick the fastest equivalent path.
+        """One whole-queue drain event, through the columnar core.
 
-        The columnar core for a request-plane backlog when
-        :meth:`_drains_columnar` allows it, else the batched loop *for
-        this drain* (groups submitted one by one always take it). Both
-        paths are byte-identical in every simulated output, so the
-        fallback is a pure implementation choice, invisible in reports.
-        """
-        if self._planned is not None and self._drains_columnar():
-            self._drain_columnar(start_at)
-        else:
-            self._drain_batched(start_at)
-
-    def _drain_columnar(self, start_at: float) -> None:
-        """Drain the planned backlog through the columnar (SoA) core.
-
-        Lowers the plan's groups to parallel arrays and hands them to
-        :func:`repro.coe.columnar.drain`, which timestamps maximal
-        resident-hit runs with one cumsum each and replays the batched
-        loop's scalar code at cache-decision points. Event crediting and
-        end-of-drain bookkeeping mirror :meth:`_drain_batched`: two
-        logical events per group (begin + finish; no overlap prefetch
-        exists on this path by construction), the drain event itself
-        already counted by the simulator.
+        Lowers the queued groups to parallel arrays — a request-plane
+        backlog directly, groups queued one by one through
+        :meth:`submit` via :meth:`GroupPlan.of_groups` — and hands them
+        to :func:`repro.coe.columnar.drain`, which replays the reference
+        path's begin -> (deferred prefetch) -> finish chain group by
+        group on a local clock. The shared clock is never advanced — a
+        later-scheduled drain of another engine on the same simulator
+        must still see its own scheduled time — so the run end is
+        published via :attr:`_drained_until` and folded into the
+        makespan as ``max(sim.run(), drained_until)``. Credits the
+        events the reference path would have run for the same work: a
+        begin and a finish per group plus one per deferred prefetch,
+        less the drain event the simulator already counted.
         """
         if self._halted:
             return
         self._begin_scheduled = False
         if self._busy:
             return
-        plan, index = self._planned
-        self._planned = None
+        if self._planned is not None:
+            plan, index = self._planned
+            self._planned = None
+        elif self._queue:
+            plan, index = GroupPlan.of_groups(self._queue), None
+            self._queue.clear()
+            self._queued_memo = None
+        else:
+            self._notify_idle()
+            return
         cols = lower_queue(self, plan, index)
-        end = _columnar_drain(self, cols, start_at)
+        end, deferred = _columnar_drain(self, cols, start_at)
         n = len(cols)
         self._groups_started += n
         self.groups_done += n
         self._drained_until = max(self._drained_until, end)
-        self._sim.count_events(max(0, 2 * n - 1))
-        self._notify_idle()
-
-    def _drain_batched(self, start_at: float) -> None:
-        """Drain the whole queue in one simulator event on a local clock.
-
-        Replays exactly the begin -> (deferred prefetch) -> finish event
-        chain of the reference path, group by group, threading an
-        explicit ``now`` instead of reading the shared clock. State
-        mutations (predictor observations, runtime activations, DMA
-        bookkeeping, spans, completion records) happen in the identical
-        order with the identical timestamps, which is what the
-        batched-equivalence property test asserts. The shared clock is
-        never advanced — a later-scheduled drain of another engine on the
-        same simulator must still see its own scheduled time — so the run
-        end is published via :attr:`_drained_until` and folded into the
-        makespan as ``max(sim.run(), drained_until)``.
-        """
-        if self._halted:
-            return
-        self._begin_scheduled = False
-        if self._busy:
-            return
-        self._unplan()
-        if not self._queue:
-            self._notify_idle()
-            return
-        # Everything touched per iteration is hoisted to a local — this
-        # loop replaces the whole event pipeline on million-group runs.
-        sim = self._sim
-        runtime = self.server.runtime
-        is_resident = runtime.is_resident
-        activate = runtime.activate
-        observe = self._predictor.observe
-        copy_done = self._copy_done
-        phase_cache = self._phase_cache
-        queue = self._queue
-        popleft = queue.popleft
-        # The loop empties the queue; nothing reads the backlog inside it.
-        self._queued_memo = None
-        completed_append = self.completed.append
-        overlap = self.policy == "overlap"
-        pipelining = self._pipeline_active
-        tracing = sim.timeline is not None
-        index = self._groups_started
-        groups_done = 0
-        now = start_at
-        #: Events the reference path would have run for this same work:
-        #: a begin + a finish per group, plus one per deferred prefetch.
-        logical = 0
-        while queue:
-            group = popleft()
-            expert = group.expert
-            expert_name = expert.name
-            base = phase_cache.get(group.phase_key)
-            if base is None:
-                base = self._base_phase_times(group)
-            factor = self.slow_factor
-            if factor != 1.0:
-                # x * 1.0 is bitwise x, so skipping the common no-op
-                # stretch cannot change a timestamp.
-                base = (base[0] * factor, base[1] * factor,
-                        base[2] * factor)
-            observe(expert)
-            if is_resident(expert):
-                activate(expert)  # hit: free recency refresh
-                done = copy_done.get(expert_name)
-                exec_start = now if done is None or done <= now else done
-            else:
-                exec_start = self._demand_copy(expert, now=now)
-            if pipelining:
-                self._pipeline_promote(now)
-            if overlap and queue:
-                if exec_start > now:
-                    # The reference path defers this to its own event at
-                    # exec_start; nothing else of this engine runs in
-                    # between, so replaying it inline at that time is
-                    # the same interleaving.
-                    logical += 1
-                    self._prefetch_next(expert_name, now=exec_start)
-                else:
-                    self._prefetch_next(expert_name, now=now)
-            end = exec_start + base[0] + base[1] + base[2]
-            self._busy_until_s = end
-            if tracing:
-                self._complete_group(group, exec_start, base, index,
-                                     finish_s=end)
-            else:
-                batch = len(group.requests)
-                for req in group.requests:
-                    completed_append(CompletedRequest(
-                        req.request_id, expert_name, batch, req.arrival_s,
-                        exec_start, end, req.output_tokens,
-                    ))
-                groups_done += 1
-            index += 1
-            logical += 2
-            now = end
-            if queue:
-                head_name = queue[0].expert.name
-                done = copy_done.get(head_name)
-                if done is not None and done > now and is_resident(
-                        queue[0].expert):
-                    now = done
-        self._groups_started = index
-        self.groups_done += groups_done
-        self._drained_until = max(self._drained_until, now)
-        # The drain event itself was already counted by the simulator.
-        sim.count_events(max(0, logical - 1))
+        self._sim.count_events(max(0, 2 * n + deferred - 1))
         self._notify_idle()
 
     def _notify_idle(self) -> None:
@@ -1212,10 +1098,12 @@ class ServingEngine:
                 "stats state persists across rebinds — construct a fresh "
                 "engine per run"
             )
-        self._ran = True
         if not requests:
             raise ValueError("empty request backlog")
         reject_duplicate_ids(requests)
+        # Set only once the backlog is valid: a rejected one touched no
+        # state, so the engine may still serve a valid one.
+        self._ran = True
         plan: Optional[GroupPlan] = None
         if self.drain_mode == DrainMode.REFERENCE.value:
             # The object front end: the oracle the request plane is

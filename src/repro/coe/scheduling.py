@@ -562,6 +562,17 @@ class GroupPlan:
             for c, b, p, o in distinct.tolist()
         ]
 
+    @classmethod
+    def of_groups(cls, groups: Sequence["RequestGroup"]) -> "GroupPlan":
+        """The plan of already-coalesced ``groups``, served in order (a
+        queue of :meth:`ServingEngine.submit`-ted groups, at drain time)."""
+        batch = RequestBatch.from_requests(
+            [r for group in groups for r in group.requests])
+        starts = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum([len(group.requests) for group in groups], out=starts[1:])
+        return cls(batch, np.arange(len(batch)), starts,
+                   batch.codes[starts[:-1]])
+
     def __len__(self) -> int:
         return len(self.codes)
 

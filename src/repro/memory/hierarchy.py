@@ -13,8 +13,8 @@ same:
 
 * :class:`EdgeCost` — ``latency_s + num_bytes / bandwidth`` — matches
   :meth:`repro.systems.platforms.Platform.switch_time` bitwise, which
-  is what keeps the three-way drain equivalence and the sim/live
-  cross-check byte-identical when a hierarchy replaces the legacy
+  is what keeps the reference == columnar drain equivalence and the
+  sim/live cross-check byte-identical when a hierarchy replaces an
   ``upgrade_time`` callable.
 * :meth:`repro.memory.tiers.MemorySystem.transfer_time` — *source*
   latency plus *destination* latency plus the wire time — models the

@@ -82,7 +82,7 @@ def _requests(draw, next_id, count, expert=None):
 OPS = ("submit", "submit_plan", "steal", "step", "slow", "halt_drain")
 
 
-@pytest.mark.parametrize("mode", ["reference", "batched", "columnar"])
+@pytest.mark.parametrize("mode", ["reference", "columnar"])
 @settings(max_examples=15, deadline=None)
 @given(policy=st.sampled_from(("fifo", "affinity", "overlap")),
        data=st.data())

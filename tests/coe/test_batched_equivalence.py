@@ -1,15 +1,16 @@
-"""Property test: the batched fast path IS the event-by-event reference.
+"""Property test: the columnar drain IS the event-by-event reference.
 
-``event_batching=True`` (the default) drains a node's whole queue in
-one simulator event with a local clock; ``event_batching=False`` is the
-seed-equivalent reference — one begin/finish event pair per group, the
+``drain_mode="columnar"`` (the default) drains a node's whole queue in
+one simulator event with a local clock; ``drain_mode="reference"`` is
+the seed-equivalent oracle — one begin/finish event pair per group, the
 heap popped one event at a time. The two must be indistinguishable in
 every observable: report stats (including the logical ``events_run``
-count), completed-request records, and the byte-level timeline — across
-scheduling policies, cache policies, and randomized workloads.
+count), completed-request records, the byte-level timeline and the
+cache DecisionLog — across scheduling policies, cache policies, the
+memory hierarchy, and randomized workloads.
 
-Timelines are compared per lane over sorted lane names: the batched
-path may *create* lanes in a different order (spans for a whole drain
+Timelines are compared per lane over sorted lane names: a whole-queue
+drain may *create* lanes in a different order (spans for a whole drain
 are recorded together), which is an artifact of dict insertion order,
 not of the simulation.
 """
@@ -25,7 +26,7 @@ from repro.coe.engine import ServingEngine, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
 from repro.systems.platforms import sn40l_platform
 
-DRAIN_MODES = ("reference", "batched", "columnar")
+DRAIN_MODES = ("reference", "columnar")
 
 
 def _timeline_lanes(timeline):
@@ -60,17 +61,17 @@ def test_engine_batched_equals_reference(policy, cache_policy):
     rng = random.Random(f"engine:{policy}:{cache_policy}")
     library, requests = _random_workload(rng)
 
-    def run(batching):
+    def run(mode):
         engine = ServingEngine(
             sn40l_platform(), library, policy=policy,
             max_batch=rng_max_batch, window=rng_window,
-            cache_policy=cache_policy, event_batching=batching,
+            cache_policy=cache_policy, drain_mode=mode,
         )
         return engine.run(requests)
 
     rng_max_batch = rng.randrange(1, 12)
     rng_window = rng.randrange(1, 32)
-    fast, reference = run(True), run(False)
+    fast, reference = run("columnar"), run("reference")
 
     assert fast.to_dict() == reference.to_dict()
     assert fast.events_run == reference.events_run
@@ -83,20 +84,21 @@ def test_engine_batched_equals_reference(policy, cache_policy):
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
 @pytest.mark.parametrize("num_nodes", [2, 4])
 def test_cluster_batched_equals_reference(policy, num_nodes):
-    # ``steal`` disables batching internally (its hooks interleave with
-    # the queues), so that axis pins the gate itself: asking for
-    # batching under steal must still reproduce the reference exactly.
+    # ``steal`` forces the reference drain internally (its hooks
+    # interleave with the queues), so that axis pins the gate itself:
+    # asking for columnar under steal must still reproduce the
+    # reference exactly.
     rng = random.Random(f"cluster:{policy}:{num_nodes}")
     library, requests = _random_workload(rng)
 
-    def run(batching):
+    def run(mode):
         return run_cluster(
             sn40l_platform, library, requests, num_nodes=num_nodes,
             policy=policy, online_replication=policy == "steal",
-            event_batching=batching,
+            drain_mode=mode,
         )
 
-    fast, reference = run(True), run(False)
+    fast, reference = run("columnar"), run("reference")
 
     assert fast.to_dict() == reference.to_dict()
     assert fast.events_run == reference.events_run
@@ -113,14 +115,14 @@ def test_cluster_deadline_shedding_batched_equals_reference():
         policy="least_loaded",
     ).makespan_s
 
-    def run(batching):
+    def run(mode):
         return run_cluster(
             sn40l_platform, library, requests, num_nodes=2,
             policy="least_loaded", deadline_s=0.5 * makespan,
-            event_batching=batching,
+            drain_mode=mode,
         )
 
-    fast, reference = run(True), run(False)
+    fast, reference = run("columnar"), run("reference")
     assert fast.rejected > 0
     assert fast.to_dict() == reference.to_dict()
     assert _timeline_lanes(fast.timeline) == _timeline_lanes(
@@ -135,14 +137,14 @@ def test_cluster_untraced_batched_matches_traced_reference_metrics():
     rng = random.Random("untraced")
     library, requests = _random_workload(rng)
 
-    def run(batching, record):
+    def run(mode, record):
         return run_cluster(
             sn40l_platform, library, requests, num_nodes=4,
-            policy="affinity", event_batching=batching,
+            policy="affinity", drain_mode=mode,
             record_timeline=record,
         )
 
-    fast, reference = run(True, False), run(False, True)
+    fast, reference = run("columnar", False), run("reference", True)
     assert fast.timeline is None
     assert fast.events_run == reference.events_run
     assert fast.makespan_s == reference.makespan_s
@@ -159,12 +161,12 @@ def test_cluster_untraced_batched_matches_traced_reference_metrics():
 @pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf"])
 @pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
 def test_engine_three_way_equivalence(policy, cache_policy, record):
-    """reference == batched == columnar, byte for byte.
+    """reference == columnar, byte for byte.
 
     Reports, completion records, event counts, timelines, and the cache
-    DecisionLog must all agree. ``traced`` pins the columnar fallback
-    (timelines force the batched drain internally); ``untraced`` with a
-    non-overlap policy exercises the real columnar core.
+    DecisionLog must all agree. ``traced`` and ``overlap`` make every
+    group a decision point (spans, prefetches); ``untraced`` with a
+    non-overlap policy exercises the cumsum runs.
     """
     rng = random.Random(f"threeway:{policy}:{cache_policy}:{record}")
     library, requests = _random_workload(rng)
@@ -182,25 +184,23 @@ def test_engine_three_way_equivalence(policy, cache_policy, record):
         return report, log
 
     reference, reference_log = run("reference")
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.completed == reference.completed, mode
-        assert report.events_run == reference.events_run, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert report.completed == reference.completed
+    assert report.events_run == reference.events_run
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    )
+    assert log == reference_log, log.diff(reference_log)
 
 
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity", "steal"])
 @pytest.mark.parametrize("record", [True, False], ids=["traced", "untraced"])
 def test_cluster_three_way_equivalence(policy, record):
-    """Cluster-level three-way identity, decision log included.
+    """Cluster-level reference == columnar identity, decision log included.
 
     ``steal`` forces the reference drain internally, so that axis pins
-    the fallback gate; the others exercise batched and columnar drains
-    per node.
+    the gate; the others exercise columnar drains per node.
     """
     rng = random.Random(f"cluster3:{policy}:{record}")
     library, requests = _random_workload(rng)
@@ -216,24 +216,23 @@ def test_cluster_three_way_equivalence(policy, record):
 
     reference, reference_log = run("reference")
     skip = {"nodes", "timeline", "load_imbalance"}
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        if record:
-            assert report.to_dict() == reference.to_dict(), mode
-            assert _timeline_lanes(report.timeline) == _timeline_lanes(
-                reference.timeline
-            ), mode
-        else:
-            got = {k: v for k, v in report.to_dict().items() if k not in skip}
-            want = {k: v for k, v in reference.to_dict().items()
-                    if k not in skip}
-            assert got == want, mode
-        assert report.events_run == reference.events_run, mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    if record:
+        assert report.to_dict() == reference.to_dict()
+        assert _timeline_lanes(report.timeline) == _timeline_lanes(
+            reference.timeline
+        )
+    else:
+        got = {k: v for k, v in report.to_dict().items() if k not in skip}
+        want = {k: v for k, v in reference.to_dict().items()
+                if k not in skip}
+        assert got == want
+    assert report.events_run == reference.events_run
+    assert log == reference_log, log.diff(reference_log)
 
 
 def test_randomized_drain_mode_fuzz():
-    """Seeded fuzz over the three-way config space beyond the fixed grid."""
+    """Seeded fuzz over the drain-mode config space beyond the fixed grid."""
     rng = random.Random(20260809)
     for trial in range(6):
         policy = rng.choice(["fifo", "affinity", "overlap"])
@@ -247,14 +246,12 @@ def test_randomized_drain_mode_fuzz():
                 drain_mode=mode, record_timeline=record,
             ).run(requests)
         key = (trial, policy, cache, record)
-        for mode in ("batched", "columnar"):
-            assert reports[mode].to_dict() == reports["reference"].to_dict(), (
-                key, mode)
-            assert reports[mode].completed == reports["reference"].completed, (
-                key, mode)
-            assert _timeline_lanes(reports[mode].timeline) == _timeline_lanes(
-                reports["reference"].timeline
-            ), (key, mode)
+        fast, reference = reports["columnar"], reports["reference"]
+        assert fast.to_dict() == reference.to_dict(), key
+        assert fast.completed == reference.completed, key
+        assert _timeline_lanes(fast.timeline) == _timeline_lanes(
+            reference.timeline
+        ), key
 
 
 def _tier_caps(library, hbm_frac=0.5, ddr_frac=0.75):
@@ -265,66 +262,70 @@ def _tier_caps(library, hbm_frac=0.5, ddr_frac=0.75):
     return {"hbm": hbm, "ddr": max(int(ddr_frac * working_set), hbm)}
 
 
-@pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf"])
+def _assert_engine_equivalent(run, record):
+    """``run(mode, record)`` under columnar equals it under reference:
+    report, completions, events, per-lane timeline and DecisionLog."""
+    reference, reference_log = run("reference", record)
+    report, log = run("columnar", record)
+    assert report.to_dict() == reference.to_dict(), record
+    assert report.completed == reference.completed, record
+    assert report.events_run == reference.events_run, record
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    ), record
+    assert log == reference_log, (record, log.diff(reference_log))
+    return reference
+
+
+@pytest.mark.parametrize("cache_policy", ["lru", "lfu", "gdsf", "lookahead"])
 def test_engine_three_way_equivalence_tiered(cache_policy):
-    """The three-way identity holds with the full memory hierarchy on:
-    a 3-tier capacity ladder (NVMe promotions in play) and the
-    expert-reorder admission scheduler."""
+    """The identity holds with the full memory hierarchy on: a 3-tier
+    capacity ladder (NVMe promotions in play) and the expert-reorder
+    admission scheduler, traced (every group a decision point) and
+    untraced (cumsum hit runs between tier misses)."""
     rng = random.Random(f"tiered:{cache_policy}")
     library, requests = _random_workload(rng)
     caps = _tier_caps(library)
 
-    def run(mode):
+    def run(mode, record):
         log = DecisionLog()
         report = ServingEngine(
             sn40l_platform(), library, policy="affinity",
             cache_policy=cache_policy, drain_mode=mode,
             scheduler="expert_reorder", tier_capacities=caps,
-            decision_log=log,
+            record_timeline=record, decision_log=log,
         ).run(requests)
         return report, log
 
-    reference, reference_log = run("reference")
-    assert reference.scheduler == "expert_reorder"
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.completed == reference.completed, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    for record in (True, False):
+        reference = _assert_engine_equivalent(run, record)
+        assert reference.scheduler == "expert_reorder"
 
 
 @pytest.mark.parametrize("cache_policy", ["gdsf", "lookahead"])
 def test_engine_three_way_equivalence_pipelined(cache_policy):
-    """The three-way identity holds with pipelined NVMe->DDR promotions
-    on (and with the lookahead policy, which — like pipelining — forces
-    the columnar mode's per-drain fallback to the batched path)."""
+    """The identity holds with pipelined NVMe->DDR promotions on (every
+    group a decision point: the next group's tier is peeked at each),
+    traced and untraced, with the lookahead policy reading the lowered
+    backlog inside the drain."""
     rng = random.Random(f"pipelined:{cache_policy}")
     library, requests = _random_workload(rng)
     caps = _tier_caps(library, hbm_frac=0.4, ddr_frac=0.55)
 
-    def run(mode):
+    def run(mode, record):
         log = DecisionLog()
         report = ServingEngine(
             sn40l_platform(), library, policy="affinity",
             cache_policy=cache_policy, drain_mode=mode,
             scheduler="expert_reorder", tier_capacities=caps,
-            decision_log=log, pipeline_promotions=True,
+            record_timeline=record, decision_log=log,
+            pipeline_promotions=True,
         ).run(requests)
         return report, log
 
-    reference, reference_log = run("reference")
-    assert reference.pipelined_promotions > 0
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.completed == reference.completed, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    for record in (True, False):
+        reference = _assert_engine_equivalent(run, record)
+        assert reference.pipelined_promotions > 0
 
 
 @pytest.mark.parametrize("policy", ["least_loaded", "affinity"])
@@ -344,14 +345,13 @@ def test_cluster_three_way_equivalence_tiered(policy):
 
     reference, reference_log = run("reference")
     assert reference.scheduler == "expert_reorder"
-    for mode in ("batched", "columnar"):
-        report, log = run(mode)
-        assert report.to_dict() == reference.to_dict(), mode
-        assert report.events_run == reference.events_run, mode
-        assert _timeline_lanes(report.timeline) == _timeline_lanes(
-            reference.timeline
-        ), mode
-        assert log == reference_log, (mode, log.diff(reference_log))
+    report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert report.events_run == reference.events_run
+    assert _timeline_lanes(report.timeline) == _timeline_lanes(
+        reference.timeline
+    )
+    assert log == reference_log, log.diff(reference_log)
 
 
 def test_randomized_tiered_drain_fuzz():
@@ -371,11 +371,9 @@ def test_randomized_tiered_drain_fuzz():
                 tier_capacities=caps,
             ).run(requests)
         key = (trial, cache, scheduler)
-        for mode in ("batched", "columnar"):
-            assert reports[mode].to_dict() == reports["reference"].to_dict(), (
-                key, mode)
-            assert reports[mode].completed == reports["reference"].completed, (
-                key, mode)
+        fast, reference = reports["columnar"], reports["reference"]
+        assert fast.to_dict() == reference.to_dict(), key
+        assert fast.completed == reference.completed, key
 
 
 def test_sim_live_cross_check_with_hierarchy_and_scheduler():
@@ -407,11 +405,11 @@ def test_randomized_seeds_sweep():
         library, requests = _random_workload(rng)
         fast = ServingEngine(
             sn40l_platform(), library, policy=policy, cache_policy=cache,
-            event_batching=True,
+            drain_mode="columnar",
         ).run(requests)
         reference = ServingEngine(
             sn40l_platform(), library, policy=policy, cache_policy=cache,
-            event_batching=False,
+            drain_mode="reference",
         ).run(requests)
         assert fast.to_dict() == reference.to_dict(), (trial, policy, cache)
         assert fast.completed == reference.completed, (trial, policy, cache)
@@ -577,9 +575,10 @@ def test_cluster_crash_recovery_equals_reference(node_policy):
     """Two node crashes on a steal cluster with deadline admission and
     per-request lengths: crash recovery's re-dispatch (orphan promotion,
     deadline re-admission against survivors' backlogs, steals and
-    replication) decides identically under the default configuration
-    and ``drain_mode="reference"`` — report, completion records and the
-    decision log, the admission stream's ``repr(eta)`` included."""
+    replication) decides identically under ``drain_mode="columnar"``
+    (the default) and ``drain_mode="reference"`` — report, completion
+    records and the decision log, the admission stream's ``repr(eta)``
+    included."""
     rng = random.Random(f"crash-recovery:{node_policy}")
     library = build_samba_coe_library(48)
     requests = [
@@ -601,10 +600,10 @@ def test_cluster_crash_recovery_equals_reference(node_policy):
         )
         return engine.serve(requests), engine, log
 
-    makespan = run(None)[0].makespan_s
+    makespan = run("columnar")[0].makespan_s
     faults = [f"crash:1:{0.2 * makespan!r}", f"crash:2:{0.45 * makespan!r}"]
     deadline_s = 1.5 * makespan
-    default, engine, log = run(None, faults, deadline_s)
+    default, engine, log = run("columnar", faults, deadline_s)
     reference, ref_engine, ref_log = run("reference", faults, deadline_s)
     assert default.redispatched_groups > 0 and default.rejected > 0
     assert default.to_dict() == reference.to_dict()

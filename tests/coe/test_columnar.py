@@ -1,9 +1,9 @@
 """Unit pins for the columnar drain core's building blocks.
 
-The three-way report identity lives in ``test_batched_equivalence.py``;
-this file pins the individual equivalences the columnar drain is built
-from, so a future regression points at the broken piece rather than at
-"some report byte differs":
+The reference == columnar report identity lives in
+``test_batched_equivalence.py``; this file pins the individual
+equivalences the columnar drain is built from, so a future regression
+points at the broken piece rather than at "some report byte differs":
 
 - the cumsum timestamp chain is *bitwise* the scalar accumulation loop,
 - ``CompletedLog`` presents exactly the records a plain list would,
@@ -11,7 +11,8 @@ from, so a future regression points at the broken piece rather than at
 - ``CoERuntime.touch_run`` equals sequential hit ``activate`` calls,
 - ``ExpertPredictor.observe_run`` equals sequential ``observe`` calls,
 - ``summarize_latencies`` equals the scalar ``percentile`` oracle,
-- engines reject re-entry instead of leaking prior run state.
+- engines reject re-entry instead of leaking prior run state, and a
+  rejected backlog does not use an engine up.
 """
 
 import math
@@ -285,18 +286,16 @@ def _small_workload(seed=7):
     return library, requests
 
 
-def test_drain_mode_resolution_and_back_compat():
+def test_drain_mode_has_two_values():
     library, _ = _small_workload()
+    assert DrainMode.values() == ("reference", "columnar")
     assert ServingEngine(sn40l_platform(), library).drain_mode == "columnar"
-    assert ServingEngine(
-        sn40l_platform(), library, event_batching=False
-    ).drain_mode == "reference"
-    engine = ServingEngine(
-        sn40l_platform(), library, event_batching=False,
-        drain_mode=DrainMode.BATCHED,
-    )
-    assert engine.drain_mode == "batched"  # explicit mode wins
-    assert engine.event_batching is True
+    for removed in ("batched", None):
+        with pytest.raises(ValueError, match="reference"):
+            ServingEngine(sn40l_platform(), library, drain_mode=removed)
+        with pytest.raises(ValueError, match="reference"):
+            ClusterEngine(sn40l_platform, library, num_nodes=2,
+                          policy="affinity", drain_mode=removed)
 
 
 def test_drain_mode_rejects_unknown_names():
@@ -319,3 +318,37 @@ def test_cluster_engine_rejects_reentry():
     engine.serve(requests)
     with pytest.raises(EngineReentryError):
         engine.serve(requests)
+
+
+def _rejected_backlogs(requests):
+    """An empty backlog and one repeating a request id."""
+    return [], list(requests) + [requests[3]]
+
+
+@pytest.mark.parametrize("mode", DrainMode.values())
+def test_serving_engine_serves_after_rejected_backlog(mode):
+    """A backlog rejected with ValueError touches no state, so it must
+    not use up the single-use engine."""
+    library, requests = _small_workload()
+    engine = ServingEngine(sn40l_platform(), library, drain_mode=mode)
+    for bad in _rejected_backlogs(requests):
+        with pytest.raises(ValueError):
+            engine.run(bad)
+    fresh = ServingEngine(sn40l_platform(), library, drain_mode=mode)
+    assert engine.run(requests).to_dict() == fresh.run(requests).to_dict()
+
+
+@pytest.mark.parametrize("mode", DrainMode.values())
+def test_cluster_engine_serves_after_rejected_backlog(mode):
+    library, requests = _small_workload()
+
+    def cluster():
+        return ClusterEngine(sn40l_platform, library, num_nodes=2,
+                             policy="affinity", drain_mode=mode)
+
+    engine = cluster()
+    for bad in _rejected_backlogs(requests):
+        with pytest.raises(ValueError):
+            engine.serve(bad)
+    assert engine.serve(requests).to_dict() == cluster().serve(
+        requests).to_dict()

@@ -293,10 +293,11 @@ class TestRunTimeline:
 class TestReportEdgeCases:
     def test_zero_completions_report_has_no_division_error(self, library, stream):
         """A node that crashes before starting any group still reports."""
-        # Fault paths run event-by-event (batching is disabled under
-        # faults), so simulate the crash on the reference path.
+        # Fault paths run event-by-event (whole-queue drains are
+        # disabled under faults), so simulate the crash on the
+        # reference path.
         engine = ServingEngine(
-            sn40l_platform(), library, policy="fifo", event_batching=False
+            sn40l_platform(), library, policy="fifo", drain_mode="reference"
         )
         engine._begin_next = engine.halt  # fail-stop before the first group
         report = engine.run(stream)

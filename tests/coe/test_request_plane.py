@@ -304,8 +304,9 @@ def test_scheduler_without_array_form_orders_elements(policy):
 
 
 def test_groups_submitted_one_by_one_drain_like_the_reference():
-    """The columnar core drains request-plane backlogs; a queue built by
-    ``submit`` takes the batched loop, with identical results."""
+    """A queue built by ``submit`` becomes a plan at drain time
+    (``GroupPlan.of_groups``) and drains through the columnar core,
+    with identical results."""
     from repro.coe.engine import DRAIN_EVENT_KIND, _run_drain_batch
     from repro.sim.engine import Simulator
 
