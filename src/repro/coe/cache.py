@@ -332,10 +332,9 @@ class LookaheadPolicy(CachePolicy):
     DDR demotions.
 
     The backlog supplier is attached by the owning engine
-    (:meth:`bind_backlog`): in sim mode it is the live view of the
-    engine's remaining queue, in live mode the node's pending-group
-    mirror — the cross-check pins that both views are identical at
-    every decision point. Standalone use without a backlog raises
+    (:meth:`bind_backlog`): the view of the engine's groups not yet
+    begun, on either clock — a live node is a serving engine too.
+    Standalone use without a backlog raises
     :class:`LookaheadUnboundError`.
     """
 

@@ -75,7 +75,7 @@ import numpy as np
 from repro.coe.cache import CachePolicy, CachePolicyLike
 from repro.coe.columnar import latency_values, token_total
 from repro.coe.decisions import DecisionLog
-from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
+from repro.coe.dispatch import AdmissionLedger, admission_eta
 from repro.coe.engine import (
     DRAIN_EVENT_KIND,
     CompletedRequest,
@@ -448,6 +448,17 @@ class ClusterEngine:
             for expert in shard:
                 self._owners.setdefault(expert.name, []).append(idx)
 
+        #: Admission state and the ``admission`` stream's only writer.
+        self._ledger = AdmissionLedger(
+            [n.name for n in self.nodes], self._owners,
+            affinity=self.policy == "affinity", deadline_s=deadline_s,
+            decisions=decision_log,
+        )
+        #: The real queues' routing state, for :meth:`_route`.
+        self._queue_backlog = (
+            lambda i: self.nodes[i].engine.estimated_backlog_s())
+        self._queue_tail = lambda i: self.nodes[i].engine.last_queued_expert
+
         self.faults.validate_for(len(self.nodes))
         self._crashes_pending = len(self.faults.crashes)
 
@@ -465,33 +476,13 @@ class ClusterEngine:
             raise KeyError(f"no node hosts expert {expert.name!r}") from None
 
     def _route(self, group: RequestGroup) -> _Node:
-        """Pick the owner node, through the shared pure dispatch core.
+        """Pick the owner node on the real queues' backlogs and tails.
 
-        The decision math lives in :mod:`repro.coe.dispatch` so the
-        live backend makes the identical choice from its mirror of the
-        same state (admission backlog sums, queue-tail experts).
+        The decision math lives in :mod:`repro.coe.dispatch`, shared
+        with column admission and the live dispatcher.
         """
-        name = group.expert.name
-        owners = self._owners.get(name)
-        if not owners:
-            raise KeyError(f"no node hosts expert {name!r}")
-        if len(owners) == 1:
-            # Single-owner fast path: with one replica there is no
-            # choice to make, and under single-owner sharding (the
-            # default partition with replication off) this is *every*
-            # route — skipping the per-call closure construction and the
-            # dispatch-core scan is the admission profile's biggest win.
-            # choose_node() over a one-element owner list returns the
-            # same index unconditionally, so decisions are unchanged.
-            return self.nodes[owners[0]]
-        index = choose_node(
-            owners,
-            name,
-            backlog_of=lambda i: self.nodes[i].engine.estimated_backlog_s(),
-            tail_of=lambda i: self.nodes[i].engine.last_queued_expert,
-            affinity=self.policy == "affinity",
-        )
-        return self.nodes[index]
+        return self.nodes[self._ledger.route(
+            group.expert.name, self._queue_backlog, self._queue_tail)]
 
     def _dispatch(self, group: RequestGroup, now: float) -> bool:
         """Route + submit one group; returns False when it was shed.
@@ -503,29 +494,18 @@ class ClusterEngine:
         the lowest priorities.
         """
         node = self._route(group)
-        decisions = self._decisions
+        ledger = self._ledger
         label = (
             f"{group.expert.name}x{group.batch}"
-            if decisions is not None else ""
+            if self._decisions is not None else ""
         )
         if self.deadline_s is not None:
-            exec_s = node.engine._group_exec_time(group)
-            eta = admission_eta(
-                now, node.engine.estimated_backlog_s(), exec_s)
-            admitted = deadline_admits(eta, self.deadline_s)
-            if decisions is not None:
-                # repr(eta) carries full float precision: one different
-                # bit in either backend's backlog math fails the check.
-                decisions.record(
-                    "admission", "admit", label,
-                    "admit" if admitted else "shed",
-                    detail=(node.name, repr(eta)),
-                )
-            if not admitted:
+            eta = admission_eta(now, node.engine.estimated_backlog_s(),
+                                node.engine._group_exec_time(group))
+            if not ledger.verdict(node.index, label, eta):
                 self.rejected.extend(group.requests)
                 return False
-        if decisions is not None:
-            decisions.record("admission", "dispatch", label, node.name)
+        ledger.dispatched(node.index, label)
         node.engine.submit(group)
         return True
 
@@ -576,57 +556,32 @@ class ClusterEngine:
     def _admit_scalar(self, plan: GroupPlan, order: np.ndarray) -> np.ndarray:
         """:meth:`_dispatch` over group columns, in admission ``order``.
 
-        The admission backlog of each node is the running sum of its
-        admitted groups' execution times, added left to right from 0.0
-        — the same floats as :meth:`ServingEngine.estimated_backlog_s`,
-        whose queued-work memo ``submit`` extends by the same ``+=``
-        while the queue only grows — and its tail the last admitted
-        expert. Returns each admitted group's node index, -1 where the
-        deadline shed it.
+        The :class:`AdmissionLedger` keeps each node's admission backlog
+        — the running sum of its admitted groups' execution times, the
+        same floats as :meth:`ServingEngine.estimated_backlog_s`, whose
+        queued-work memo ``submit`` extends by the same ``+=`` while the
+        queue only grows — and its tail, the last admitted expert.
+        Returns each admitted group's node index, -1 where the deadline
+        shed it.
         """
         names = [e.name for e in plan.batch.experts]
         keys = [s.phase_key for s in plan.shapes]
-        decisions = self._decisions
-        deadline = self.deadline_s
-        affinity = self.policy == "affinity"
-        backlog = [0.0] * len(self.nodes)
-        tails: List[Optional[str]] = [None] * len(self.nodes)
+        ledger = self._ledger
         dest = np.full(len(order), -1, dtype=np.int64)
         for j, (code, size, shape) in enumerate(zip(
             plan.codes[order].tolist(), plan.sizes[order].tolist(),
             plan.shape_of[order].tolist(),
         )):
             name = names[code]
-            owners = self._owners[name]
-            if len(owners) == 1:
-                k = owners[0]
-            else:
-                k = choose_node(owners, name, backlog_of=backlog.__getitem__,
-                                tail_of=tails.__getitem__, affinity=affinity)
+            k = ledger.route(name)
             # _group_exec_time at admission (slow factor 1.0), from the
             # node's seeded phase memo.
             router, prefill, decode = (
                 self.nodes[k].engine._phase_cache[keys[shape]])
-            exec_s = router + prefill + decode
-            label = f"{name}x{size}" if decisions is not None else ""
-            if deadline is not None:
-                eta = admission_eta(0.0, backlog[k], exec_s)
-                admitted = deadline_admits(eta, deadline)
-                if decisions is not None:
-                    decisions.record(
-                        "admission", "admit", label,
-                        "admit" if admitted else "shed",
-                        detail=(self.nodes[k].name, repr(eta)),
-                    )
-                if not admitted:
-                    self.rejected.extend(plan.requests_of(int(order[j])))
-                    continue
-            if decisions is not None:
-                decisions.record("admission", "dispatch", label,
-                                 self.nodes[k].name)
-            dest[j] = k
-            backlog[k] += exec_s
-            tails[k] = name
+            if ledger.admit(k, name, size, router + prefill + decode):
+                dest[j] = k
+            else:
+                self.rejected.extend(plan.requests_of(int(order[j])))
         return dest
 
     @staticmethod

@@ -346,7 +346,6 @@ def drain(
     resident = runtime.resident_map
     copy_done = engine._copy_done
     predictor = engine._predictor
-    observe = predictor.observe
     log = engine.completed
     names = cols.names
     experts = cols.experts
@@ -403,13 +402,7 @@ def drain(
         engine._drain_next = pos + 1  # the lookahead backlog
         expert = experts[pos]
         expert_name = names[pos]
-        observe(expert)
-        if expert_name in resident:
-            runtime.activate(expert)  # hit: free recency refresh
-            done = copy_done.get(expert_name)
-            exec_start = now if done is None or done <= now else done
-        else:
-            exec_start = engine._demand_copy(expert, now=now)
+        exec_start = engine._begin(expert, now)
         nxt = experts[pos + 1] if pos + 1 < n else None
         engine._pipeline_promote(now, nxt)
         if overlap and nxt is not None:

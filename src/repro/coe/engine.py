@@ -109,34 +109,6 @@ class EngineReentryError(RuntimeError):
     """
 
 
-def group_phase_times(
-    server: ExpertServer,
-    group: RequestGroup,
-    cache: Dict[Tuple[str, int, int, int], Tuple[float, float, float]],
-) -> Tuple[float, float, float]:
-    """Base (router_s, prefill_s, decode_s) of one group, memoized.
-
-    The module-level form of the engine's phase memo, shared with the
-    live backend (:mod:`repro.coe.live_engine`): both backends compute
-    a group's execution time through this one function over the same
-    :class:`ExpertServer` cost model, so every float that feeds a
-    dispatch or admission decision is bitwise-identical across clocks.
-    The memo key is cheap (a name and three ints) where the platform
-    ``lru_cache``\\ s hash whole model configs per call.
-    """
-    key = group.phase_key
-    base = cache.get(key)
-    if base is None:
-        _, batch, prompt, output = key
-        router = server.router_time(batch=batch, prompt_tokens=prompt)
-        prefill, decode = server.expert_time(
-            group.expert, output, prompt, batch=batch
-        )
-        base = (router, prefill, decode)
-        cache[key] = base
-    return base
-
-
 def _run_drain_batch(batch) -> None:
     """Batch handler for :data:`DRAIN_EVENT_KIND` events.
 
@@ -434,6 +406,11 @@ class ServingEngine:
         :class:`~repro.sim.engine.Simulator` satisfies the protocol
         structurally; :meth:`run` still constructs one to *drive* a
         standalone backlog, because something has to pump the events.)
+        A live node binds a :class:`~repro.sim.clock.WallClock`: its
+        asyncio worker calls only the begin, promotion and finish steps
+        (:meth:`_begin`, :meth:`_pipeline_promote`, :meth:`_complete`),
+        which read nothing but the :class:`~repro.sim.clock.Clock`
+        surface.
         """
         self._sim = simulator
         self._reset_run_state()
@@ -472,8 +449,8 @@ class ServingEngine:
 
         In-flight work is ``busy_until - now``, read on every call. The
         queued part is the exec-time sum over the queue, added strictly
-        left to right from 0.0 — bitwise the running sums admission
-        keeps (``ClusterEngine._admit_scalar``, the live dispatcher),
+        left to right from 0.0 — bitwise the running sums the admission
+        ledger keeps (:class:`repro.coe.dispatch.AdmissionLedger`),
         on every Python version (``sum()`` of floats is compensated
         from 3.12 on). It is memoized: :meth:`submit` extends the memo
         by one addition, so a queue that only grows costs O(1) per
@@ -639,10 +616,19 @@ class ServingEngine:
     def _base_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
         """Un-stretched (router_s, prefill_s, decode_s), memoized.
 
-        Delegates to the shared :func:`group_phase_times` so the live
-        backend computes the identical floats from the same memo shape.
+        The memo key is cheap (a name and three ints) where the platform
+        ``lru_cache``\\ s hash whole model configs per call.
         """
-        return group_phase_times(self.server, group, self._phase_cache)
+        key = group.phase_key
+        base = self._phase_cache.get(key)
+        if base is None:
+            _, batch, prompt, output = key
+            router = self.server.router_time(batch=batch, prompt_tokens=prompt)
+            prefill, decode = self.server.expert_time(
+                group.expert, output, prompt, batch=batch
+            )
+            base = self._phase_cache[key] = (router, prefill, decode)
+        return base
 
     def _group_phase_times(self, group: RequestGroup) -> Tuple[float, float, float]:
         """(router_s, prefill_s, decode_s) of one batched group."""
@@ -798,18 +784,18 @@ class ServingEngine:
         """Start the next group's NVMe->DDR promotion behind this group.
 
         The CoServe pipelining trick: called right after the current
-        group's activation on both drain paths with the expert of the
-        scheduler's next group (the queue head on the event path, the
-        next lowered group in a drain); if it is still NVMe-resident,
-        commits its promotion (:meth:`CoERuntime.promote_to_ddr`) and
-        books the DMA occupancy on the prefetch lane starting at the
-        DMA's next free slot — so the copy overlaps this group's compute
-        and the upcoming demand miss pays only the DDR->HBM hop. Pure
-        bookkeeping on the local clock (no new simulator events), so the
-        reference and columnar drains stay bitwise-identical; promotions
-        are never recorded in the decision log (prefetcher traffic, not
-        a policy decision), so sim/live cross-check streams are
-        unchanged.
+        group's activation with the expert of the scheduler's next group
+        (the queue head on the event path and in the live worker, which
+        calls it once its copy wait is over; the next lowered group in a
+        drain); if it is still NVMe-resident, commits its promotion
+        (:meth:`CoERuntime.promote_to_ddr`) and books the DMA occupancy
+        on the prefetch lane starting at the DMA's next free slot — so
+        the copy overlaps this group's compute and the upcoming demand
+        miss pays only the DDR->HBM hop. Pure bookkeeping on the given
+        clock reading (no new simulator events), so the reference and
+        columnar drains stay bitwise-identical; promotions are never
+        recorded in the decision log (prefetcher traffic, not a policy
+        decision), so sim/live cross-check streams are unchanged.
         """
         if not self._pipeline_active or nxt is None:
             return
@@ -900,23 +886,13 @@ class ServingEngine:
             self._notify_idle()
             return
         sim = self._sim
-        runtime = self.server.runtime
         group = self._queue.popleft()
         self._queued_memo = None
         self._busy = True
         index = self._groups_started
         self._groups_started += 1
         router_s, prefill_s, decode_s = self._group_phase_times(group)
-        # The predictor always observes the demand stream: a predictive
-        # cache policy needs it even when the overlap prefetcher is off.
-        self._predictor.observe(group.expert)
-        if runtime.is_resident(group.expert):
-            runtime.activate(group.expert)  # hit: free recency refresh
-            exec_start = max(
-                sim.now, self._copy_done.get(group.expert.name, sim.now)
-            )
-        else:
-            exec_start = self._demand_copy(group.expert)
+        exec_start = self._begin(group.expert, sim.now)
         self._pipeline_promote(
             sim.now, self._queue[0].expert if self._queue else None
         )
@@ -937,6 +913,24 @@ class ServingEngine:
                          (router_s, prefill_s, decode_s), index)
         self._busy_until_s = end
         sim.schedule_at(end, self._finish_group)
+
+    def _begin(self, expert: ExpertProfile, now: float) -> float:
+        """The begin step of a group of ``expert``; returns its exec start.
+
+        The predictor observes the demand stream (a predictive cache
+        policy needs it even when the overlap prefetcher is off); then
+        a resident expert gets a free recency refresh and waits out any
+        copy still landing it, and a missing one takes a demand copy.
+        Shared by the event path, the columnar decision point and the
+        live worker.
+        """
+        self._predictor.observe(expert)
+        runtime = self.server.runtime
+        if runtime.is_resident(expert):
+            runtime.activate(expert)  # hit: free recency refresh
+            done = self._copy_done.get(expert.name)
+            return now if done is None or done <= now else done
+        return self._demand_copy(expert, now=now)
 
     def _prefetch_head(self, protected_name: str) -> None:
         """The event path's prefetch: warms the queue head as of now."""
@@ -1006,15 +1000,21 @@ class ServingEngine:
                 )
             end += duration
 
-    def _finish_group(self) -> None:
-        if self._halted or self._current is None:
-            return
-        group, exec_started, phase_times, index = self._current
-        self._current = None
-        sim = self._sim
+    def _complete(
+        self,
+        group: RequestGroup,
+        exec_started: float,
+        phase_times: Sequence[float],
+        index: int,
+        finish_s: float,
+    ) -> None:
+        """The finish step: phase spans, completion records, the count.
+
+        Shared by the event path and the live worker.
+        """
         expert_name = group.expert.name
         batch = group.batch
-        if sim.timeline is not None:
+        if self._sim.timeline is not None:
             self._record_phases(expert_name, batch, exec_started,
                                 phase_times, index)
         append = self.completed.append
@@ -1025,10 +1025,18 @@ class ServingEngine:
                 batch=batch,
                 arrival_s=req.arrival_s,
                 start_s=exec_started,
-                finish_s=sim.now,
+                finish_s=finish_s,
                 output_tokens=req.output_tokens,
             ))
         self.groups_done += 1
+
+    def _finish_group(self) -> None:
+        if self._halted or self._current is None:
+            return
+        group, exec_started, phase_times, index = self._current
+        self._current = None
+        self._complete(group, exec_started, phase_times, index,
+                       self._sim.now)
         self._busy = False
         if self.on_group_done is not None:
             self.on_group_done(self, group)

@@ -11,15 +11,20 @@ decisions** to the sim backend for the same request stream:
 - Grouping goes through :class:`repro.coe.scheduling.GroupAssembler`,
   the proven streaming equivalent of the batch pipeline's
   ``coalesce_groups(affinity_schedule(...))``.
-- Node choice and deadline admission go through the pure decision core
-  (:mod:`repro.coe.dispatch`) over a mirror of the sim's
-  admission-logical state: monotone per-node backlog sums and queue-tail
-  experts, fed by the same :func:`repro.coe.engine.group_phase_times`
-  floats. Like the sim (where every request is backlogged at t=0),
-  admission evaluates ETAs at logical ``now = 0.0`` — so the arithmetic
-  is bitwise-identical even though wall arrivals are spread in time.
-- Cache decisions happen inside :meth:`repro.coe.runtime.CoERuntime
-  .activate`, the single choke point both backends share.
+- Node choice and deadline admission go through the same
+  :class:`repro.coe.dispatch.AdmissionLedger` the cluster engine's
+  column admission uses: per-node backlog running sums and queue-tail
+  experts, fed by each node's phase memo. Like the sim (where every
+  request is backlogged at t=0), admission evaluates ETAs at logical
+  ``now = 0.0`` — so the arithmetic is bitwise-identical even though
+  wall arrivals are spread in time.
+- Each node is a :class:`repro.coe.engine.ServingEngine` bound to the
+  run's wall clock, its queue the groups not yet begun. The worker
+  drives it through the engine's own begin, promotion and finish steps,
+  so demand copies, pipelined NVMe->DDR promotions, spans and
+  completion records are the sim's code; cache decisions happen inside
+  :meth:`repro.coe.runtime.CoERuntime.activate`, the single choke point
+  both backends share.
 
 The cross-check (:mod:`repro.coe.crosscheck`) runs both backends over a
 recorded trace and diffs their :class:`~repro.coe.decisions.DecisionLog`
@@ -33,31 +38,31 @@ features; :class:`repro.coe.api.ServeConfig` rejects them with a typed
 Timestamps: everything is **model seconds** (``time_scale`` wall seconds
 each — see :class:`~repro.sim.clock.WallClock`), so a live timeline's
 spans line up with a sim run of the same work, and a 10-model-second
-trace smoke-tests in a fraction of a wall second.
+trace smoke-tests in a fraction of a wall second. The report's timeline
+ends at the makespan: a span still open when the run stopped (a copy
+cut off by the drain timeout) is clipped there, and one that would only
+have started later is dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set,
-    TYPE_CHECKING, Tuple,
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
+    TYPE_CHECKING,
 )
 
-from repro.coe.cache import LookaheadPolicy, PredictivePolicy
 from repro.coe.decisions import DecisionLog
-from repro.coe.dispatch import admission_eta, choose_node, deadline_admits
+from repro.coe.dispatch import AdmissionLedger
 from repro.coe.engine import (
-    CompletedRequest,
+    EngineReentryError,
     EngineRequest,
-    group_phase_times,
+    ServingEngine,
 )
 from repro.coe.expert import ExpertLibrary
 from repro.coe.metrics import summarize_latencies
 from repro.coe.scheduling import (
-    ExpertPredictor,
     GroupAssembler,
     RequestGroup,
     make_scheduler,
@@ -110,40 +115,26 @@ class TokenEvent(NamedTuple):
 
 @dataclass
 class _LiveNode:
-    """One live node: cost model + cache + its worker's queue."""
+    """One live node: its serving engine and its worker's wake-up."""
 
     index: int
     name: str
-    server: ExpertServer
-    predictor: ExpertPredictor
+    engine: ServingEngine
     hosted: Set[str]
-    #: Shared-shape phase memo (see :func:`group_phase_times`).
-    phase_cache: Dict[Tuple[str, int, int, int], Tuple[float, float, float]] = (
-        field(default_factory=dict)
-    )
-    #: Admission-logical backlog: running sum of admitted groups'
-    #: execution times, the mirror of the sim's admission backlog
-    #: (``ClusterEngine._admit_scalar``).
-    backlog_s: float = 0.0
-    #: Expert of the last admitted group (the sim's queue-tail expert).
-    tail: Optional[str] = None
-    queue: Optional[asyncio.Queue] = None
-    #: Mirror of the not-yet-begun groups in this node's queue, in
-    #: admission order — the live twin of the sim engine's ``_queue``
-    #: deque. A lookahead cache policy reads it as its backlog window,
-    #: and the pipelined-promotion peek reads its head; the worker pops
-    #: it at group *begin* so its contents match what the sim's queue
-    #: holds at every decision point.
-    pending: Deque[RequestGroup] = field(default_factory=deque)
-    #: Model-time point when this node's (single) DMA path frees up:
-    #: pipelined NVMe->DDR promotions and demand copies serialize
-    #: through it, mirroring the sim engine's ``_dma_free_s``.
-    dma_free_s: float = 0.0
-    completed: List[CompletedRequest] = field(default_factory=list)
-    groups_done: int = 0
+    #: Set when the dispatcher queues a group or closes admission.
+    wake: Optional[asyncio.Event] = None
 
-    def lane(self, base: str) -> str:
-        return f"{self.name}/{base}"
+    @property
+    def server(self) -> ExpertServer:
+        return self.engine.server
+
+    @property
+    def completed(self):
+        return self.engine.completed
+
+    @property
+    def groups_done(self) -> int:
+        return self.engine.groups_done
 
 
 @dataclass(frozen=True)
@@ -286,11 +277,6 @@ class LiveEngine:
             config.drain_timeout_s if config.drain_timeout_s is not None
             else DEFAULT_DRAIN_TIMEOUT_S
         )
-        self._decisions = decision_log
-        #: The sim backend records admission decisions only when the
-        #: config selects the cluster engine; mirror that exactly so the
-        #: two logs have the same streams.
-        self._record_admission = config.wants_cluster
         self._token_callback = token_callback
         self.shed: List[ShedRequest] = []
         self.timeline = Timeline()
@@ -299,12 +285,9 @@ class LiveEngine:
         )
 
         factory = platform if callable(platform) else (lambda: platform)
-        self.nodes: List[_LiveNode] = []
-        #: Expert name -> indices of nodes hosting a replica.
-        self._owners: Dict[str, List[int]] = {}
         if config.wants_cluster:
-            # Mirror ClusterEngine's sharding (and its ExpertServer
-            # defaults — reserved_hbm_bytes is a single-node-only knob).
+            # ClusterEngine's sharding (and its ExpertServer defaults —
+            # reserved_hbm_bytes is a single-node-only knob).
             shards = [
                 s for s in partition_experts(
                     library, config.num_nodes, balanced=True
@@ -312,52 +295,44 @@ class LiveEngine:
             ]
         else:
             shards = [list(library.experts)]
+        self.nodes: List[_LiveNode] = []
+        #: Expert name -> indices of nodes hosting a replica.
+        owners: Dict[str, List[int]] = {}
         for idx, shard in enumerate(shards):
-            server = ExpertServer(
+            name = f"node{idx}"
+            engine = ServingEngine(
                 factory(),
                 ExpertLibrary(experts=list(shard))
                 if config.wants_cluster else library,
+                policy=self.policy,
                 reserved_hbm_bytes=(
                     None if config.wants_cluster
                     else config.reserved_hbm_bytes
                 ),
+                simulator=self.clock,
+                lane_prefix=f"{name}/",
                 cache_policy=config.cache_policy.value,
+                decision_log=decision_log,
                 tier_capacities=config.tier_capacities,
+                pipeline_promotions=bool(config.pipeline_promotions),
             )
-            predictor = ExpertPredictor()
-            runtime_policy = server.runtime.policy
-            if (isinstance(runtime_policy, PredictivePolicy)
-                    and runtime_policy.predictor is None):
-                runtime_policy.predictor = predictor
-            node = _LiveNode(
-                index=idx,
-                name=f"node{idx}",
-                server=server,
-                predictor=predictor,
+            self.nodes.append(_LiveNode(
+                index=idx, name=name, engine=engine,
                 hosted={e.name for e in shard},
-            )
-            if isinstance(runtime_policy, LookaheadPolicy):
-                # The live backlog window: this node's pending mirror
-                # holds exactly the groups not yet begun, in admission
-                # order — the same view the sim engine's queue gives its
-                # lookahead policy, so eviction decisions stay
-                # byte-identical across backends.
-                runtime_policy.bind_backlog(
-                    lambda n=node: (g.expert.name for g in n.pending)
-                )
-            if decision_log is not None:
-                server.runtime.attach_decisions(decision_log, node.name)
-            self.nodes.append(node)
+            ))
             for expert in shard:
-                self._owners.setdefault(expert.name, []).append(idx)
-        self.cache_policy = self.nodes[0].server.runtime.policy.name
-        #: CoServe-style promotion pipelining, wall-clocked: active only
-        #: with a bounded DDR tier, exactly like the sim engine.
-        self.pipeline_promotions = bool(config.pipeline_promotions)
-        self._pipeline_active = (
-            self.pipeline_promotions
-            and self.nodes[0].server.runtime.ddr_budget_bytes is not None
+                owners.setdefault(expert.name, []).append(idx)
+        self.cache_policy = self.nodes[0].engine.cache_policy
+        #: The sim records admission decisions only when the config
+        #: selects the cluster engine; so does this ledger.
+        self._ledger = AdmissionLedger(
+            [node.name for node in self.nodes], owners,
+            affinity=self.cluster_policy == "affinity",
+            deadline_s=self.deadline_s,
+            decisions=decision_log if config.wants_cluster else None,
         )
+        self._admitting = False
+        self._served = False
 
     @property
     def num_nodes(self) -> int:
@@ -366,12 +341,6 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # Admission (the dispatcher task)
     # ------------------------------------------------------------------
-    def _group_exec_time(self, node: _LiveNode, group: RequestGroup) -> float:
-        router, prefill, decode = group_phase_times(
-            node.server, group, node.phase_cache
-        )
-        return router + prefill + decode
-
     def _shed(self, group: RequestGroup, reason: str) -> None:
         name = group.expert.name
         for req in group.requests:
@@ -380,57 +349,29 @@ class LiveEngine:
             )
 
     def _admit(self, group: RequestGroup) -> None:
-        """Route one closed group — the sim's ``_dispatch``, re-clocked.
+        """Route one closed group through the cluster's admission ledger.
 
-        Same pure decision core, same logical state, same record shapes;
         ETAs are evaluated at logical ``now = 0.0`` exactly like the
         sim's all-backlogged-at-t0 admission, so ``repr(eta)`` matches
         bit for bit. A full queue sheds with ``backpressure`` *after*
-        the dispatch decision and still advances the logical backlog and
-        tail — the decision stream stays sim-identical even under shed
-        (the cache streams cannot, which is why the cross-check pins
-        ``max_queue`` high enough to never shed).
+        the dispatch decision, which still advances the ledger's backlog
+        and tail — the decision stream stays sim-identical even under
+        shed (the cache streams cannot, which is why the cross-check
+        pins ``max_queue`` high enough to never shed).
         """
+        ledger = self._ledger
         name = group.expert.name
-        owners = self._owners.get(name)
-        if not owners:
-            raise KeyError(f"no node hosts expert {name!r}")
-        index = choose_node(
-            owners,
-            name,
-            backlog_of=lambda i: self.nodes[i].backlog_s,
-            tail_of=lambda i: self.nodes[i].tail,
-            affinity=self.cluster_policy == "affinity",
-        )
-        node = self.nodes[index]
-        decisions = self._decisions if self._record_admission else None
-        label = f"{name}x{group.batch}"
-        exec_s = self._group_exec_time(node, group)
-        if self.deadline_s is not None:
-            eta = admission_eta(0.0, node.backlog_s, exec_s)
-            admitted = deadline_admits(eta, self.deadline_s)
-            if decisions is not None:
-                decisions.record(
-                    "admission", "admit", label,
-                    "admit" if admitted else "shed",
-                    detail=(node.name, repr(eta)),
-                )
-            if not admitted:
-                self._shed(group, "deadline")
-                return
-        if decisions is not None:
-            decisions.record("admission", "dispatch", label, node.name)
-        try:
-            node.queue.put_nowait(group)
-        except asyncio.QueueFull:
+        node = self.nodes[ledger.route(name)]
+        if not ledger.admit(node.index, name, group.batch,
+                            node.engine._group_exec_time(group)):
+            self._shed(group, "deadline")
+            return
+        queue = node.engine._queue
+        if len(queue) >= self.max_queue:
             self._shed(group, "backpressure")
-        else:
-            # The pending mirror tracks the *work* queue only: a shed
-            # group never reaches the worker, so it must not appear in
-            # the lookahead/pipelining backlog window either.
-            node.pending.append(group)
-        node.backlog_s += exec_s
-        node.tail = name
+            return
+        queue.append(group)
+        node.wake.set()
 
     async def _dispatch_all(self, requests: Sequence[EngineRequest]) -> None:
         """Open-loop admission: release each arrival at its model time."""
@@ -451,48 +392,23 @@ class LiveEngine:
     # Execution (one worker task per node)
     # ------------------------------------------------------------------
     async def _run_group(self, node: _LiveNode, group: RequestGroup) -> None:
+        """One group through the node engine's begin and finish steps.
+
+        The group has left the engine's queue, so the lookahead window
+        and the promotion peek see only the groups not yet begun, as on
+        the sim clock. The copy wait and the phases are real sleeps;
+        the phase spans keep their planned model durations, anchored at
+        the actual start — wall jitter shifts spans, never stretches
+        them.
+        """
         clock = self.clock
-        server = node.server
-        runtime = server.runtime
-        expert = group.expert
-        # This group begins: drop it off the pending mirror so the
-        # lookahead backlog window and the pipelining peek see only the
-        # not-yet-begun groups, exactly like the sim's popped queue.
-        if node.pending:
-            node.pending.popleft()
-        # The predictor always observes the demand stream (it feeds a
-        # predictive cache policy), exactly as the sim engine does at
-        # group begin.
-        node.predictor.observe(expert)
-        router_s, prefill_s, decode_s = group_phase_times(
-            server, group, node.phase_cache
+        engine = node.engine
+        queue = engine._queue
+        router_s, prefill_s, decode_s = engine._group_phase_times(group)
+        await clock.sleep_until(engine._begin(group.expert, clock.now))
+        engine._pipeline_promote(
+            clock.now, queue[0].expert if queue else None
         )
-        if runtime.is_resident(expert):
-            runtime.activate(expert)  # hit: free recency refresh
-        else:
-            event = runtime.activate(expert, span=False)
-            # Demand copies queue behind any in-flight pipelined
-            # promotion on the node's single DMA path (the sim's
-            # ``_dma_free_s`` serialization); with pipelining off the
-            # cursor stays 0.0 and this is exactly the old sleep.
-            start = max(clock.now, node.dma_free_s)
-            done = start + event.time_s
-            node.dma_free_s = done
-            await clock.sleep_until(done)
-            clock.record_span(
-                f"copy:{expert.name}", node.lane("switch"), "switch",
-                start_s=start, end_s=done,
-                args={
-                    "hit": False,
-                    "speculative": False,
-                    "policy": event.policy,
-                    "bytes_up": event.bytes_up,
-                    "bytes_down": event.bytes_down,
-                    "evicted": list(event.evicted),
-                    "evicted_why": list(event.evicted_why),
-                },
-            )
-        self._pipeline_promote(node)
         exec_start = clock.now
         await clock.sleep(router_s + prefill_s)
         callback = self._token_callback
@@ -507,7 +423,7 @@ class LiveEngine:
             step_s = decode_s / steps
             decode_start = clock.now
             node_name = node.name
-            expert_name = expert.name
+            expert_name = group.expert.name
             for step in range(steps):
                 await clock.sleep_until(decode_start + step_s * (step + 1))
                 now = clock.now
@@ -519,87 +435,38 @@ class LiveEngine:
                         self._tokens_streamed += 1
         else:
             await clock.sleep(decode_s)
-        finish = clock.now
-        # Phase spans at their planned model durations, anchored at the
-        # actual start — wall jitter shifts spans, never stretches them.
-        end = exec_start
-        for category, duration in zip(
-            ("router", "prefill", "decode"), (router_s, prefill_s, decode_s)
-        ):
-            if duration > 0:
-                clock.record_span(
-                    f"{category}:{expert.name}", node.lane("compute"),
-                    category, start_s=end, end_s=end + duration,
-                    args={"group": node.groups_done, "batch": group.batch},
-                )
-            end += duration
-        expert_name = expert.name
-        batch = group.batch
-        for req in group.requests:
-            node.completed.append(CompletedRequest(
-                request_id=req.request_id,
-                expert=expert_name,
-                batch=batch,
-                arrival_s=req.arrival_s,
-                start_s=exec_start,
-                finish_s=finish,
-                output_tokens=req.output_tokens,
-            ))
-        node.groups_done += 1
-
-    def _pipeline_promote(self, node: _LiveNode) -> None:
-        """Start the pending head's NVMe->DDR promotion behind this group.
-
-        The live twin of :meth:`ServingEngine._pipeline_promote`: right
-        after the current group's activation, peek the node's pending
-        mirror and, if the next group's expert is still NVMe-resident,
-        commit its promotion and book the DMA occupancy from the DMA's
-        next free slot. Spans are *deferred* to shutdown rather than
-        recorded inline: a promotion whose copy window would outlive the
-        run is clipped at the makespan (the wall-clock-legal analogue of
-        the sim's speculation flush), so a cancelled drain never paints
-        DMA activity past the moment the engine stopped. Promotions are
-        never recorded in the decision log — prefetcher traffic, not a
-        policy decision — so cross-check streams are unchanged.
-        """
-        if not self._pipeline_active or not node.pending:
-            return
-        nxt = node.pending[0].expert
-        runtime = node.server.runtime
-        if runtime.tier_of(nxt.name) != "nvme":
-            return
-        promo = runtime.promote_to_ddr(nxt)
-        if promo.time_s <= 0:
-            return
-        start = max(self.clock.now, node.dma_free_s)
-        done = start + promo.time_s
-        node.dma_free_s = done
-        self._promo_spans.append((
-            f"promote:{nxt.name}", node.lane("prefetch"), start, done,
-            {
-                "pipelined": True,
-                "bytes_read": promo.bytes_read,
-                "bytes_written": promo.bytes_written,
-                "demoted": list(promo.demoted),
-            },
-        ))
+        engine._complete(group, exec_start, (router_s, prefill_s, decode_s),
+                         engine.groups_done, clock.now)
 
     async def _worker(self, node: _LiveNode) -> None:
-        while True:
-            group = await node.queue.get()
-            try:
-                if group is None:  # drain sentinel
-                    return
-                await self._run_group(node, group)
-            finally:
-                node.queue.task_done()
+        queue = node.engine._queue
+        while queue or self._admitting:
+            if queue:
+                await self._run_group(node, queue.popleft())
+            else:
+                node.wake.clear()
+                await node.wake.wait()
 
     # ------------------------------------------------------------------
     async def aserve(self, requests: Sequence[EngineRequest]) -> LiveReport:
-        """Serve the stream inside the caller's event loop."""
+        """Serve the stream inside the caller's event loop.
+
+        Single-use like :meth:`ServingEngine.run`: a second call raises
+        :class:`~repro.coe.engine.EngineReentryError`, because the
+        caches, ledger and completion records of the first run persist.
+        """
+        if self._served:
+            raise EngineReentryError(
+                "this LiveEngine already served; cache, admission and "
+                "completion state persists — construct a fresh engine "
+                "per run"
+            )
         if not requests:
             raise ValueError("empty request backlog")
         reject_duplicate_ids(requests)
+        # Set only once the backlog is valid: a rejected one touched no
+        # state, so the engine may still serve a valid one.
+        self._served = True
         # Admission-time reordering over the known backlog, same as the
         # sim engines. Dispatch still honours each request's arrival
         # time (``sleep_until`` treats past deadlines as a no-op), so
@@ -607,10 +474,10 @@ class LiveEngine:
         # live group stream matches the sim's exactly.
         requests = self.scheduler.order(list(requests))
         self._tokens_streamed = 0
-        self._promo_spans: List[Tuple[str, str, float, float, dict]] = []
         self.clock.start()
+        self._admitting = True
         for node in self.nodes:
-            node.queue = asyncio.Queue(maxsize=self.max_queue)
+            node.wake = asyncio.Event()
         tasks = [
             asyncio.create_task(self._worker(node), name=f"live-{node.name}")
             for node in self.nodes
@@ -618,8 +485,9 @@ class LiveEngine:
         drained = True
         try:
             await self._dispatch_all(requests)
+            self._admitting = False
             for node in self.nodes:
-                await node.queue.put(None)  # waits for space: still bounded
+                node.wake.set()
             try:
                 await asyncio.wait_for(
                     asyncio.gather(*tasks), timeout=self.drain_timeout_s
@@ -635,19 +503,12 @@ class LiveEngine:
             await asyncio.gather(*tasks, return_exceptions=True)
         makespan = self.clock.now
         wall_s = self.clock.wall_elapsed_s
-        # Flush the deferred promotion spans, clipped at the makespan: a
-        # promotion whose DMA window outlived the run (drain timeout, or
-        # simply the last compute finishing first) is truncated at the
-        # instant the engine stopped, and one that never got to start is
-        # dropped — the cancellation is visible in the trace instead of
-        # painting phantom DMA activity past shutdown.
-        for name, lane, start, done, args in self._promo_spans:
-            if start >= makespan:
-                continue
-            self.clock.record_span(
-                name, lane, "promote",
-                start_s=start, end_s=min(done, makespan), args=args,
-            )
+        # The report's timeline ends at the makespan: a span still open
+        # when the run stopped (a copy or promotion cut off by the drain
+        # timeout) is clipped there, one not yet started is dropped.
+        timeline = self.timeline
+        if timeline.end_s > makespan:
+            timeline = timeline.clipped(makespan)
         completed = [c for node in self.nodes for c in node.completed]
         if drained and len(completed) + len(self.shed) != len(requests):
             raise RuntimeError(
@@ -657,8 +518,9 @@ class LiveEngine:
         # sorted first so mean_s accumulates in the same order as before the
         # summarize_latencies migration (fp addition is order-sensitive)
         latency_summary = summarize_latencies(sorted(c.latency_s for c in completed))
-        hits = sum(n.server.runtime.stats.hits for n in self.nodes)
-        demand = sum(n.server.runtime.stats.requests for n in self.nodes)
+        stats = [n.server.runtime.stats for n in self.nodes]
+        hits = sum(s.hits for s in stats)
+        demand = sum(s.requests for s in stats)
         shed_deadline = sum(1 for s in self.shed if s.reason == "deadline")
         shed_backpressure = len(self.shed) - shed_deadline
         return LiveReport(
@@ -682,13 +544,10 @@ class LiveEngine:
             mean_s=latency_summary.mean_s,
             drained=drained,
             demand_hit_rate=(hits / demand if demand else 0.0),
-            pipelined_promotions=sum(
-                n.server.runtime.stats.pipelined_promotions
-                for n in self.nodes
-            ),
+            pipelined_promotions=sum(s.pipelined_promotions for s in stats),
             completed=tuple(completed),
             shed=tuple(self.shed),
-            timeline=self.timeline,
+            timeline=timeline,
         )
 
     def serve(self, requests: Sequence[EngineRequest]) -> LiveReport:

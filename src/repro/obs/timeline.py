@@ -117,6 +117,17 @@ class Timeline:
         starts.insert(index, span.start_s)
         return span
 
+    def clipped(self, end_s: float) -> "Timeline":
+        """A copy ending at ``end_s``: spans starting at or after it are
+        dropped, and the ends of the others are clipped to it."""
+        out = Timeline(self.tolerance_s)
+        for lane, spans in self._lanes.items():
+            for s in spans:
+                if s.start_s < end_s:
+                    out.record(s.name, lane, s.category, s.start_s,
+                               min(s.end_s, end_s), s.args)
+        return out
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -8,7 +8,21 @@ from repro.coe.decisions import DecisionLog
 from repro.coe.engine import EngineRequest
 from repro.coe.expert import build_samba_coe_library
 from repro.load import ArrivalSpec, generate_trace
+from repro.systems.cluster import partition_experts
 from repro.systems.platforms import sn40l_platform
+
+
+def shard_tiers(library, num_nodes, *, hbm, ddr):
+    """HBM and DDR capacities as fractions of the largest shard's
+    working set (the HBM tier holds at least the biggest expert)."""
+    working_set = max(
+        sum(e.weight_bytes for e in shard)
+        for shard in partition_experts(library, num_nodes, balanced=True)
+    )
+    hbm_bytes = max(int(hbm * working_set),
+                    max(e.weight_bytes for e in library.experts))
+    return {"hbm": hbm_bytes,
+            "ddr": max(int(ddr * working_set), hbm_bytes)}
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +50,19 @@ class TestDecisionParity:
         # Deadline admission in the loop (admit/shed ETA records).
         dict(policy="affinity", num_nodes=2, cluster_policy="least_loaded",
              cache_policy="predictive", deadline_s=0.5),
+        # The shared node core in a cluster: lookahead eviction over
+        # each node's queue, pipelined promotions, deadline admission.
+        lambda library: dict(
+            policy="fifo", num_nodes=2, cluster_policy="affinity",
+            cache_policy="lookahead", scheduler="expert_reorder",
+            tier_capacities=shard_tiers(library, 2, hbm=0.5, ddr=0.35),
+            pipeline_promotions=True, deadline_s=0.5,
+        ),
     ], ids=["lru", "gdsf", "fifo-predictive", "least-loaded-4",
-            "affinity-4", "deadline-2"])
+            "affinity-4", "deadline-2", "tiered-lookahead-affinity-2"])
     def test_identical_decisions(self, library, requests, config_kwargs):
+        if callable(config_kwargs):
+            config_kwargs = config_kwargs(library)
         config = ServeConfig(mode="live", **config_kwargs)
         result = cross_check(sn40l_platform, library, requests, config)
         assert result.match, result.mismatch
@@ -52,6 +76,8 @@ class TestDecisionParity:
             expected.add("admission")
         assert set(result.streams) <= expected
         assert any(s.startswith("node") for s in result.streams)
+        if config_kwargs.get("pipeline_promotions"):
+            assert result.live_report.pipelined_promotions > 0
 
     def test_lookahead_pipelined_tiered_parity(self, library, requests):
         # The CoServe scenario end to end: constrained HBM/DDR budgets,

@@ -6,7 +6,7 @@ from collections import defaultdict
 import pytest
 
 from repro.coe.api import ServeConfig, ServeModeError, build_server
-from repro.coe.engine import EngineRequest
+from repro.coe.engine import EngineReentryError, EngineRequest
 from repro.coe.expert import build_samba_coe_library
 from repro.coe.live_engine import (
     DEFAULT_MAX_QUEUE,
@@ -94,6 +94,97 @@ class TestLiveServe:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["completed_requests"] == 4
         assert payload["drained"] is True
+
+
+class TestSingleUse:
+    def test_second_serve_raises(self, platform, library):
+        engine = LiveEngine(platform, library, live_config())
+        engine.serve(backlog(library, 12))
+        with pytest.raises(EngineReentryError):
+            engine.serve(backlog(library, 12))
+
+    def test_second_aserve_raises_after_drain_timeout(self, platform, library):
+        engine = LiveEngine(
+            platform, library,
+            live_config(time_scale=1.0, drain_timeout_s=0.05, max_batch=1),
+        )
+        reqs = [EngineRequest(0, library.experts[0], output_tokens=2000)]
+        assert not engine.serve(reqs).drained
+        with pytest.raises(EngineReentryError):
+            asyncio.run(engine.aserve(reqs))
+
+    def test_rejected_backlogs_leave_the_engine_usable(self, platform, library):
+        engine = LiveEngine(platform, library, live_config())
+        with pytest.raises(ValueError, match="empty"):
+            engine.serve([])
+        expert = library.experts[0]
+        with pytest.raises(ValueError):
+            engine.serve([EngineRequest(0, expert), EngineRequest(0, expert)])
+        report = engine.serve(backlog(library, 12))
+        assert report.completed_requests == 12
+        assert report.drained
+
+
+def assert_timeline_ends_at_makespan(report):
+    for span in report.timeline.spans():
+        assert span.start_s < report.makespan_s
+        assert span.end_s <= report.makespan_s
+
+
+def cut_off_in_first_copy(platform, library):
+    # The first demand copy takes about 13 model milliseconds: at a
+    # hundred wall seconds per model second it outlasts the 50 ms drain
+    # budget many times over.
+    engine = LiveEngine(
+        platform, library,
+        live_config(time_scale=100.0, drain_timeout_s=0.05),
+    )
+    report = engine.serve([EngineRequest(0, library.experts[0])])
+    assert not report.drained
+    return report
+
+
+class TestTimelineClip:
+    """A live report's timeline ends at the makespan."""
+
+    def test_cut_off_during_first_demand_copy(self, platform, library):
+        assert_timeline_ends_at_makespan(cut_off_in_first_copy(platform, library))
+
+    def test_cut_off_copy_shows_as_clipped_switch_span(self, platform, library):
+        report = cut_off_in_first_copy(platform, library)
+        (copy,) = report.timeline.spans(category="switch")
+        assert copy.start_s < copy.end_s == report.makespan_s
+
+    def test_cut_off_during_pipelined_promotion(self, platform, library):
+        # A DDR-resident expert first, an NVMe-resident one next: once
+        # the first copy lands, the second's NVMe->DDR promotion runs
+        # behind the first group, and it takes model seconds — far past
+        # the drain budget.
+        working_set = sum(e.weight_bytes for e in library.experts)
+        hbm = max(int(0.5 * working_set),
+                  max(e.weight_bytes for e in library.experts))
+        engine = LiveEngine(
+            platform, library,
+            live_config(
+                time_scale=1.0, drain_timeout_s=0.2, max_batch=1,
+                tier_capacities={
+                    "hbm": hbm, "ddr": max(int(0.35 * working_set), hbm),
+                },
+                pipeline_promotions=True,
+            ),
+        )
+        runtime = engine.nodes[0].server.runtime
+        first = next(e for e in library.experts
+                     if runtime.tier_of(e.name) == "ddr")
+        second = next(e for e in library.experts
+                      if runtime.tier_of(e.name) == "nvme")
+        report = engine.serve([EngineRequest(0, first),
+                               EngineRequest(1, second)])
+        assert not report.drained
+        assert report.pipelined_promotions == 1
+        assert_timeline_ends_at_makespan(report)
+        (promote,) = report.timeline.spans(category="promote")
+        assert promote.end_s == report.makespan_s
 
 
 class TestBackpressure:
