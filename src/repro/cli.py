@@ -457,7 +457,8 @@ def _cmd_serve_live(args: argparse.Namespace) -> int:
     print(f"  goodput {report.goodput_tokens_per_second:.1f} tok/s, "
           f"p50 {fmt_time(report.p50_s)}, p99 {fmt_time(report.p99_s)}, "
           f"shed {report.shed_deadline} deadline + "
-          f"{report.shed_backpressure} backpressure, "
+          f"{report.shed_backpressure} backpressure + "
+          f"{report.shed_drain_timeout} drain timeout, "
           f"drained {report.drained}")
     payload["config"] = config.to_dict()
     payload["report"] = report.to_dict()

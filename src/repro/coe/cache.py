@@ -46,7 +46,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from itertools import islice
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional,
+    Sequence, Union,
+)
 
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import CachePolicyName
@@ -318,6 +322,79 @@ class LookaheadUnboundError(ValueError):
     """
 
 
+#: A bound next-use query: ``(candidates, horizon)`` -> each candidate's
+#: distance (in groups) to its first use in the backlog, for the
+#: candidates used within the first ``horizon`` groups only.
+NextUseQuery = Callable[[Iterable[str], int], Dict[str, int]]
+
+
+def scan_next_use(
+    backlog: Iterable[str], candidates: Iterable[str], horizon: int
+) -> Dict[str, int]:
+    """Next-use distances by one forward scan of a backlog of names.
+
+    Reads at most ``horizon`` names, soonest first, and stops early once
+    every candidate has been seen; a candidate absent from the window
+    is absent from the result.
+    """
+    wanted = set(candidates)
+    found: Dict[str, int] = {}
+    for index, name in enumerate(islice(backlog, horizon)):
+        if name in wanted and name not in found:
+            found[name] = index
+            if len(found) == len(wanted):
+                break
+    return found
+
+
+class NextUseIndex:
+    """Next-use distances over a fixed name sequence read at a position
+    that only moves forward — the lowered backlog of a columnar drain.
+
+    Holds one ascending occurrence list per name and a cursor per name
+    that only advances, so a query costs O(candidates) amortized and
+    the whole sequence is indexed once. Equal to :func:`scan_next_use`
+    over ``names[position:]`` for every monotone series of positions.
+    """
+
+    __slots__ = ("_occurrences", "_cursors")
+
+    def __init__(self, names: Iterable[str]) -> None:
+        occurrences: Dict[str, List[int]] = {}
+        for index, name in enumerate(names):
+            positions = occurrences.get(name)
+            if positions is None:
+                occurrences[name] = [index]
+            else:
+                positions.append(index)
+        self._occurrences = occurrences
+        self._cursors = dict.fromkeys(occurrences, 0)
+
+    def distances(
+        self, candidates: Iterable[str], position: int, horizon: int
+    ) -> Dict[str, int]:
+        """Each candidate's distance from ``position`` to its next
+        occurrence at or after it, if that is below ``horizon``.
+        ``position`` must not decrease between calls."""
+        occurrences = self._occurrences
+        cursors = self._cursors
+        found: Dict[str, int] = {}
+        for name in candidates:
+            positions = occurrences.get(name)
+            if positions is None:
+                continue
+            cursor = cursors[name]
+            end = len(positions)
+            while cursor < end and positions[cursor] < position:
+                cursor += 1
+            cursors[name] = cursor
+            if cursor < end:
+                distance = positions[cursor] - position
+                if distance < horizon:
+                    found[name] = distance
+        return found
+
+
 class LookaheadPolicy(CachePolicy):
     """Evict the resident whose next use lies farthest in the backlog.
 
@@ -331,9 +408,11 @@ class LookaheadPolicy(CachePolicy):
     down the hierarchy, the same ranking drives both HBM evictions and
     DDR demotions.
 
-    The backlog supplier is attached by the owning engine
-    (:meth:`bind_backlog`): the view of the engine's groups not yet
-    begun, on either clock — a live node is a serving engine too.
+    Distances come from one bound query (:meth:`next_use`) asked about
+    the candidates only. The owning engine binds its own
+    (:meth:`bind_next_use`): the groups not yet begun, on either clock —
+    a live node is a serving engine too. :meth:`bind_backlog` binds a
+    plain name sequence instead, read by :func:`scan_next_use`.
     Standalone use without a backlog raises
     :class:`LookaheadUnboundError`.
     """
@@ -349,42 +428,44 @@ class LookaheadPolicy(CachePolicy):
         if horizon <= 0:
             raise ValueError(f"lookahead horizon must be positive: {horizon}")
         self.horizon = horizon
-        self._backlog: Optional[Callable[[], Sequence[str]]] = None
+        self._backlog: Optional[NextUseQuery] = None
 
-    def bind_backlog(self, supplier: Callable[[], Sequence[str]]) -> None:
-        """Attach the engine's backlog view: a zero-arg callable yielding
-        upcoming expert names in scheduled order (soonest first)."""
-        self._backlog = supplier
+    def bind_next_use(self, query: NextUseQuery) -> None:
+        """Attach the engine's next-use query (see :data:`NextUseQuery`)."""
+        self._backlog = query
 
-    def _distances(self) -> Dict[str, int]:
+    def bind_backlog(self, supplier: Callable[[], Iterable[str]]) -> None:
+        """Attach a backlog view: a zero-arg callable yielding upcoming
+        expert names in scheduled order (soonest first)."""
+        self._backlog = lambda candidates, horizon: scan_next_use(
+            supplier(), candidates, horizon
+        )
+
+    def next_use(self, candidates: Iterable[str]) -> Dict[str, int]:
+        """Distance to first use of each candidate seen in the window."""
         if self._backlog is None:
             raise LookaheadUnboundError(
                 "the lookahead policy needs a scheduler backlog: serving "
                 "engines attach one automatically (bind_backlog); a bare "
                 "CoERuntime cannot rank victims by next-use distance"
             )
-        distances: Dict[str, int] = {}
-        for index, name in enumerate(self._backlog()):
-            if index >= self.horizon:
-                break
-            if name not in distances:
-                distances[name] = index
-        return distances
+        return self._backlog(candidates, self.horizon)
 
     def eviction_order(self, resident: Mapping[str, ExpertProfile]) -> List[str]:
-        distances = self._distances()
+        distances = self.next_use(resident)
         beyond = self.horizon + 1
+        last_access = self._last_access  # _recency, inlined: a hot sort
         return sorted(
             resident,
             key=lambda n: (
-                -distances.get(n, beyond), self._recency(n), n
+                -distances.get(n, beyond), last_access.get(n, 0), n
             ),
         )
 
     def why(self, name: str) -> str:
         if self._backlog is None:
             return "lookahead: no backlog bound"
-        distance = self._distances().get(name)
+        distance = self.next_use((name,)).get(name)
         if distance is None:
             return f"lookahead: unused within horizon {self.horizon}"
         return f"lookahead: next use {distance} groups ahead"
@@ -515,6 +596,9 @@ __all__ = [
     "LRUPolicy",
     "LookaheadPolicy",
     "LookaheadUnboundError",
+    "NextUseIndex",
+    "NextUseQuery",
     "PredictivePolicy",
     "make_policy",
+    "scan_next_use",
 ]

@@ -439,4 +439,5 @@ def drain(
             if done is not None and done > now and head_name in resident:
                 now = done
     engine._drain_names = None
+    engine._drain_index = None
     return now, deferred

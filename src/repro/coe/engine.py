@@ -51,11 +51,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
     Union,
 )
 
-from repro.coe.cache import CachePolicyLike, LookaheadPolicy, PredictivePolicy
+from repro.coe.cache import (
+    CachePolicyLike,
+    LookaheadPolicy,
+    NextUseIndex,
+    PredictivePolicy,
+    scan_next_use,
+)
 from repro.coe.columnar import (
     CompletedLog,
     drain as _columnar_drain,
@@ -290,9 +296,9 @@ class ServingEngine:
                 and runtime_policy.predictor is None):
             runtime_policy.predictor = self._predictor
         #: A lookahead policy reads the groups not yet begun, in
-        #: scheduled order, as its backlog window (:meth:`_backlog_names`).
+        #: scheduled order, as its backlog window (:meth:`_next_use`).
         if isinstance(runtime_policy, LookaheadPolicy):
-            runtime_policy.bind_backlog(self._backlog_names)
+            runtime_policy.bind_next_use(self._next_use)
         self.cache_policy = runtime_policy.name
         #: Whether the CoServe-style promotion pipeline is live: it needs
         #: a bounded DDR tier (otherwise there is nothing to promote).
@@ -341,10 +347,12 @@ class ServingEngine:
         #: A request-plane backlog awaiting the columnar drain:
         #: ``(plan, group indices or None for all)`` (see submit_plan).
         self._planned: Optional[Tuple[GroupPlan, object]] = None
-        #: While a columnar drain runs: its lowered expert names and the
-        #: position of the first group not yet begun (the backlog).
+        #: While a columnar drain runs: its lowered expert names, the
+        #: position of the first group not yet begun (the backlog) and
+        #: the names' next-use index, built on the first lookahead query.
         self._drain_names: Optional[List[str]] = None
         self._drain_next = 0
+        self._drain_index: Optional[NextUseIndex] = None
         self._busy = False
         self._begin_scheduled = False
         self._busy_until_s = 0.0
@@ -819,18 +827,27 @@ class ServingEngine:
             },
         )
 
-    def _backlog_names(self) -> Iterator[str]:
-        """Expert names of the groups not yet begun, soonest first.
+    def _next_use(self, candidates: Iterable[str],
+                  horizon: int) -> Dict[str, int]:
+        """Next-use distances over the groups not yet begun.
 
-        The lookahead policy's backlog window. Inside a columnar drain
-        it is the lowered names after the group being decided — what
-        the queue holds once that group has begun on the event path —
-        read lazily, so a scan stops at the policy's horizon.
+        The lookahead policy's backlog query. Inside a columnar drain
+        the backlog is the lowered names after the group being decided
+        — what the queue holds once that group has begun on the event
+        path — and the drain position only moves forward, so the
+        drain's :class:`~repro.coe.cache.NextUseIndex` answers. Anywhere
+        else (the reference oracle, live nodes) one scan of the queue
+        answers, stopping at the horizon.
         """
         names = self._drain_names
         if names is None:
-            return (g.expert.name for g in self._queue)
-        return (names[i] for i in range(self._drain_next, len(names)))
+            return scan_next_use(
+                (g.expert.name for g in self._queue), candidates, horizon
+            )
+        index = self._drain_index
+        if index is None:
+            index = self._drain_index = NextUseIndex(names)
+        return index.distances(candidates, self._drain_next, horizon)
 
     def _batch_ok(self) -> bool:
         """Whether draining the whole queue in one event is equivalent.

@@ -83,7 +83,7 @@ DEFAULT_TIME_SCALE = 1.0
 DEFAULT_DRAIN_TIMEOUT_S = 30.0
 
 #: Shed reasons a :class:`ShedRequest` can carry.
-SHED_REASONS = ("deadline", "backpressure")
+SHED_REASONS = ("deadline", "backpressure", "drain_timeout")
 
 
 class ShedRequest(NamedTuple):
@@ -91,8 +91,10 @@ class ShedRequest(NamedTuple):
 
     ``deadline`` mirrors the sim's admission shedding (the ETA busts the
     SLO); ``backpressure`` is live-only (the chosen node's bounded queue
-    was full at arrival). Shed work is reported, never silently dropped
-    — the same contract as :attr:`ClusterEngine.rejected`.
+    was full at arrival); ``drain_timeout`` marks a request still queued
+    or in flight when graceful shutdown hit its timeout. Shed work is
+    reported, never silently dropped — the same contract as
+    :attr:`ClusterEngine.rejected`.
     """
 
     request_id: int
@@ -123,6 +125,9 @@ class _LiveNode:
     hosted: Set[str]
     #: Set when the dispatcher queues a group or closes admission.
     wake: Optional[asyncio.Event] = None
+    #: The group the worker is running (popped from the queue, not yet
+    #: complete), or None.
+    running: Optional[RequestGroup] = None
 
     @property
     def server(self) -> ExpertServer:
@@ -144,7 +149,9 @@ class LiveReport:
     Latencies and the makespan are model seconds (finish minus arrival,
     queueing and wall jitter included); ``wall_s`` is the raw wall-clock
     duration of the run. ``drained`` is False only when graceful
-    shutdown hit ``drain_timeout_s`` and in-flight work was cancelled.
+    shutdown hit ``drain_timeout_s`` and in-flight work was cancelled;
+    the requests it cut off are shed with reason ``drain_timeout``, so
+    ``completed_requests + shed_requests == requests`` on every path.
     """
 
     policy: str
@@ -167,6 +174,8 @@ class LiveReport:
     p99_s: float
     mean_s: float
     drained: bool = True
+    #: Requests still queued or in flight at the drain timeout.
+    shed_drain_timeout: int = 0
     demand_hit_rate: float = 0.0
     #: Admission-time scheduler the backlog went through (SchedulerName).
     scheduler: str = "fifo"
@@ -179,7 +188,8 @@ class LiveReport:
 
     @property
     def shed_requests(self) -> int:
-        return self.shed_deadline + self.shed_backpressure
+        return (self.shed_deadline + self.shed_backpressure
+                + self.shed_drain_timeout)
 
     @property
     def shed_rate(self) -> float:
@@ -213,6 +223,7 @@ class LiveReport:
             "completed_requests": self.completed_requests,
             "shed_deadline": self.shed_deadline,
             "shed_backpressure": self.shed_backpressure,
+            "shed_drain_timeout": self.shed_drain_timeout,
             "shed_rate": self.shed_rate,
             "output_tokens": self.output_tokens,
             "tokens_streamed": self.tokens_streamed,
@@ -442,7 +453,9 @@ class LiveEngine:
         queue = node.engine._queue
         while queue or self._admitting:
             if queue:
-                await self._run_group(node, queue.popleft())
+                node.running = queue.popleft()
+                await self._run_group(node, node.running)
+                node.running = None
             else:
                 node.wake.clear()
                 await node.wake.wait()
@@ -509,8 +522,17 @@ class LiveEngine:
         timeline = self.timeline
         if timeline.end_s > makespan:
             timeline = timeline.clipped(makespan)
+        if not drained:
+            # Cut off by the timeout: the group each worker was running
+            # (its completion never recorded) and every group still
+            # queued are shed, so no request goes unaccounted.
+            for node in self.nodes:
+                if node.running is not None:
+                    self._shed(node.running, "drain_timeout")
+                for group in node.engine._queue:
+                    self._shed(group, "drain_timeout")
         completed = [c for node in self.nodes for c in node.completed]
-        if drained and len(completed) + len(self.shed) != len(requests):
+        if len(completed) + len(self.shed) != len(requests):
             raise RuntimeError(
                 f"live engine lost requests: {len(completed)} completed + "
                 f"{len(self.shed)} shed of {len(requests)} submitted"
@@ -521,8 +543,9 @@ class LiveEngine:
         stats = [n.server.runtime.stats for n in self.nodes]
         hits = sum(s.hits for s in stats)
         demand = sum(s.requests for s in stats)
-        shed_deadline = sum(1 for s in self.shed if s.reason == "deadline")
-        shed_backpressure = len(self.shed) - shed_deadline
+        shed_counts = {reason: 0 for reason in SHED_REASONS}
+        for shed in self.shed:
+            shed_counts[shed.reason] += 1
         return LiveReport(
             policy=self.policy,
             cluster_policy=self.cluster_policy,
@@ -531,8 +554,9 @@ class LiveEngine:
             num_nodes=self.num_nodes,
             requests=len(requests),
             completed_requests=len(completed),
-            shed_deadline=shed_deadline,
-            shed_backpressure=shed_backpressure,
+            shed_deadline=shed_counts["deadline"],
+            shed_backpressure=shed_counts["backpressure"],
+            shed_drain_timeout=shed_counts["drain_timeout"],
             output_tokens=sum(c.output_tokens for c in completed),
             tokens_streamed=self._tokens_streamed,
             makespan_s=makespan,

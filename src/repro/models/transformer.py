@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.dataflow.graph import (
@@ -103,10 +104,14 @@ class TransformerConfig:
         embed = 2 * self.vocab * self.hidden  # input embedding + LM head
         return embed + self.layers * self.params_per_layer + self.hidden
 
-    @property
+    @cached_property
     def weight_bytes(self) -> int:
-        """Bytes to store the model, honouring weight sparsity."""
-        dense = self.param_count
+        """Bytes to store the model, honouring weight sparsity.
+
+        Computed once per config: the instance is frozen, and the cached
+        value lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality and hashing still see the fields only.
+        """
         embed = 2 * self.vocab * self.hidden
         layer_params = self.param_count - embed - self.hidden
         stored = embed + self.hidden + round(layer_params * (1.0 - self.sparsity))

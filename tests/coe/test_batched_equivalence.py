@@ -24,6 +24,7 @@ from repro.coe.cluster_engine import ClusterEngine, run_cluster
 from repro.coe.decisions import DecisionLog
 from repro.coe.engine import ServingEngine, zipf_request_stream
 from repro.coe.expert import build_samba_coe_library
+from repro.systems.cluster import partition_experts
 from repro.systems.platforms import sn40l_platform
 
 DRAIN_MODES = ("reference", "columnar")
@@ -352,6 +353,43 @@ def test_cluster_three_way_equivalence_tiered(policy):
         reference.timeline
     )
     assert log == reference_log, log.diff(reference_log)
+
+
+def test_cluster_lookahead_pipelined_equivalence():
+    """memwall_tiered's shape, scaled down: a 4-node affinity cluster
+    with lookahead eviction, expert reordering and pipelined promotions,
+    HBM and DDR at 0.5 and 0.35 of the mean per-node working set. The
+    columnar drain answers lookahead from its next-use index, the
+    reference oracle from a scan of the queue; both must decide alike."""
+    library = build_samba_coe_library(48)
+    requests = zipf_request_stream(
+        library, 1500, alpha=1.1, seed=16, output_tokens=16,
+    )
+    shards = [s for s in partition_experts(library, 4) if s]
+    working_set = sum(e.weight_bytes for s in shards for e in s) / len(shards)
+    biggest = max(e.weight_bytes for e in library.experts)
+    hbm = max(int(0.5 * working_set), biggest)
+    caps = {"hbm": hbm, "ddr": max(int(0.35 * working_set), hbm)}
+
+    def run(mode):
+        log = DecisionLog()
+        engine = ClusterEngine(
+            sn40l_platform, library, num_nodes=4, policy="affinity",
+            node_policy="affinity", cache_policy="lookahead",
+            scheduler="expert_reorder", pipeline_promotions=True,
+            tier_capacities=caps, record_timeline=False, drain_mode=mode,
+            decision_log=log,
+        )
+        return engine, engine.serve(requests), log
+
+    ref_engine, reference, reference_log = run("reference")
+    engine, report, log = run("columnar")
+    assert report.to_dict() == reference.to_dict()
+    assert engine.completed_requests() == ref_engine.completed_requests()
+    assert log == reference_log, log.diff(reference_log)
+    stats = [n.engine.server.runtime.stats for n in engine.nodes]
+    assert sum(s.pipelined_promotions for s in stats) > 0
+    assert sum(s.tier_demotions for s in stats) > 0
 
 
 def test_randomized_tiered_drain_fuzz():

@@ -1,6 +1,7 @@
 """Pluggable HBM expert-cache policies (repro.coe.cache)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coe.cache import (
     CACHE_POLICIES,
@@ -11,8 +12,10 @@ from repro.coe.cache import (
     LookaheadPolicy,
     LookaheadUnboundError,
     LRUPolicy,
+    NextUseIndex,
     PredictivePolicy,
     make_policy,
+    scan_next_use,
 )
 from repro.coe.expert import ExpertProfile
 from repro.coe.policies import CachePolicyName
@@ -275,6 +278,81 @@ class TestLookahead:
         assert isinstance(policy, LookaheadPolicy)
         assert policy._backlog is not None
         assert engine.cache_policy == "lookahead"
+
+
+@st.composite
+def next_use_cases(draw):
+    """A lowered backlog, monotone decision positions, a horizon, and a
+    candidate set per position (names absent from the backlog too).
+
+    The backlog is built from runs of one name, the way ``max_batch``
+    splits one expert's requests into adjacent groups.
+    """
+    pool = [f"e{i}" for i in range(draw(st.integers(1, 8)))]
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(1, 4)), max_size=40,
+    ))
+    names = [name for name, repeat in runs for _ in range(repeat)]
+    positions = sorted(draw(st.lists(
+        st.integers(0, len(names)), min_size=1, max_size=12,
+    )))
+    horizon = draw(st.one_of(
+        st.just(1),
+        st.integers(2, 5),
+        st.integers(max(len(names), 1), len(names) + 3),
+    ))
+    names_or_absent = st.sampled_from(pool + ["x0", "x1"])
+    candidates = [
+        draw(st.lists(names_or_absent, min_size=1, max_size=6, unique=True))
+        for _ in positions
+    ]
+    touched = draw(st.permutations(pool + ["x0", "x1"]))
+    return names, positions, horizon, candidates, touched
+
+
+class TestNextUseIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(next_use_cases())
+    def test_index_equals_scan(self, case):
+        names, positions, horizon, candidates, touched = case
+        index = NextUseIndex(names)
+        # The drain's binding (an index read at a forward-moving
+        # position) against a bare runtime's (a scan of the suffix).
+        position = [0]
+        indexed = LookaheadPolicy(horizon=horizon)
+        indexed.bind_next_use(
+            lambda cands, h: index.distances(cands, position[0], h)
+        )
+        scanned = LookaheadPolicy(horizon=horizon)
+        scanned.bind_backlog(lambda: names[position[0]:])
+        for name in touched:
+            for policy in (indexed, scanned):
+                policy.on_access(_profile(name), hit=True)
+        for pos, cands in zip(positions, candidates):
+            position[0] = pos
+            expected = scan_next_use(names[pos:], cands, horizon)
+            assert index.distances(cands, pos, horizon) == expected
+            resident = {name: _profile(name) for name in cands}
+            order = indexed.eviction_order(resident)
+            assert order == scanned.eviction_order(resident)
+            assert [indexed.why(n) for n in order] == [
+                scanned.why(n) for n in order
+            ]
+
+    def test_scan_stops_at_the_horizon(self):
+        assert scan_next_use(["e0", "e1", "e0"], ["e0", "e1"], 1) == {"e0": 0}
+        assert scan_next_use(["e0", "e1", "e0"], ["e1", "x"], 3) == {"e1": 1}
+        assert scan_next_use(["e0"], [], 3) == {}
+
+    def test_index_cursor_skips_past_occurrences(self):
+        index = NextUseIndex(["e0", "e1", "e0", "e1"])
+        assert index.distances(["e0", "e1"], 0, 8) == {"e0": 0, "e1": 1}
+        assert index.distances(["e0", "e1"], 3, 8) == {"e1": 0}
+        assert index.distances(["e0", "e1"], 4, 8) == {}
+
+
+def _profile(name):
+    return ExpertProfile(name, "chat", model=TINY)
 
 
 class TestBelady:

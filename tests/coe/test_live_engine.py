@@ -244,7 +244,37 @@ class TestGracefulShutdown:
         )
         assert not report.drained
         assert report.completed_requests == 0
-        assert report.shed_requests == 0
+        # The in-flight request is shed with its own reason, not lost.
+        assert report.shed_drain_timeout == 1
+        assert report.shed_requests == 1
+        assert report.to_dict()["shed_drain_timeout"] == 1
+        (shed,) = report.shed
+        assert shed == ShedRequest(0, library.experts[0].name,
+                                   "drain_timeout", 2000)
+
+    @pytest.mark.parametrize("count,num_nodes,time_scale", [
+        (3, 1, 10.0), (12, 2, 1.0),
+    ], ids=["3-requests-1-node", "12-requests-2-nodes"])
+    def test_drain_timeout_conserves_requests(
+        self, platform, library, count, num_nodes, time_scale
+    ):
+        # Cut off mid-run: whatever is queued or in flight at the
+        # timeout is shed as drain_timeout, exactly once per request.
+        engine = LiveEngine(
+            platform, library,
+            live_config(policy="affinity", cluster_policy="affinity",
+                        num_nodes=num_nodes, time_scale=time_scale,
+                        drain_timeout_s=0.05, max_batch=1),
+        )
+        report = engine.serve(backlog(library, count))
+        assert not report.drained
+        assert report.requests == count
+        assert report.shed_drain_timeout >= 1
+        assert report.completed_requests + report.shed_requests == count
+        ids = ([c.request_id for c in report.completed]
+               + [s.request_id for s in report.shed])
+        assert sorted(ids) == list(range(count))
+        assert all(s.reason == "drain_timeout" for s in report.shed)
 
     def test_no_task_leaks_after_aserve(self, platform, library):
         async def run():

@@ -1,9 +1,12 @@
 """Transformer graph builders."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dataflow.graph import OpKind
-from repro.models.catalog import LLAMA2_7B, MISTRAL_7B
+from repro.models.catalog import CATALOG, LLAMA2_7B, MISTRAL_7B
 from repro.models.transformer import (
     TransformerConfig,
     decode_graph,
@@ -26,6 +29,46 @@ class TestConfigValidation:
     def test_kv_bytes_per_token(self):
         # 2 (K and V) * layers * kv_dim * 2 bytes.
         assert LLAMA2_7B.kv_bytes_per_token() == 2 * 32 * 4096 * 2
+
+
+def _weight_bytes_formula(cfg):
+    embed = 2 * cfg.vocab * cfg.hidden
+    layer_params = cfg.layers * cfg.params_per_layer
+    stored = embed + cfg.hidden + round(layer_params * (1.0 - cfg.sparsity))
+    return stored * cfg.dtype.size_bytes
+
+
+@pytest.mark.parametrize("cfg", list(CATALOG.values()), ids=list(CATALOG))
+class TestCachedWeightBytes:
+    """``weight_bytes`` is computed once per config and cached on it."""
+
+    def test_cached_value_equals_formula(self, cfg):
+        assert cfg.weight_bytes == _weight_bytes_formula(cfg)
+        assert vars(cfg)["weight_bytes"] == cfg.weight_bytes
+
+    def test_replace_computes_a_fresh_value(self, cfg):
+        cfg.weight_bytes  # cache the original's value first
+        sparsity = 0.5 if cfg.sparsity != 0.5 else 0.25
+        other = dataclasses.replace(cfg, sparsity=sparsity)
+        assert "weight_bytes" not in vars(other)
+        assert other.weight_bytes == _weight_bytes_formula(other)
+        assert other.weight_bytes != cfg.weight_bytes
+
+    def test_equality_and_hash_see_fields_only(self, cfg):
+        cfg.weight_bytes
+        twin = dataclasses.replace(cfg)
+        assert "weight_bytes" not in vars(twin)
+        assert twin == cfg
+        assert hash(twin) == hash(cfg)
+        twin.weight_bytes
+        assert twin == cfg
+        assert hash(twin) == hash(cfg)
+
+    def test_pickle_round_trip_keeps_the_value(self, cfg):
+        cfg.weight_bytes
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone == cfg
+        assert vars(clone)["weight_bytes"] == _weight_bytes_formula(cfg)
 
 
 class TestPrefillGraph:
